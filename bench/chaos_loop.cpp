@@ -1,13 +1,15 @@
-// Robustness bench: the self-healing chaos loop. One MEC network serves a
-// Poisson request stream while instance failures and cloudlet outages are
-// injected at increasing rates; a reactive controller repairs outages with
-// fixed MTTR and tops services back up to their expectation. Augmentation
-// runs through the deadline-guarded FallbackAugmenter (ILP -> randomized ->
-// matching -> greedy), so the bench also reports which tier actually served.
+// Robustness bench: the simulation core's fault + self-healing layer. One
+// MEC network serves a Poisson request stream while instance failures and
+// cloudlet outages are injected at increasing rates; a reactive controller
+// repairs outages with fixed MTTR and tops services back up to their
+// expectation. Augmentation runs through the deadline-guarded
+// FallbackAugmenter (ILP -> randomized -> matching -> greedy), so the bench
+// also reports which tier actually served.
 //
 // `--crash-restart` runs the crash-consistency drill instead: one journaled
-// run is torn down and recovered at three points mid-trace, and the result
-// must be bit-identical to an uninterrupted run (exit 1 on any mismatch).
+// run is torn down and recovered at three points mid-trace, under
+// per-event and under pooled admission, and each result must be
+// bit-identical to its uninterrupted run (exit 1 on any mismatch).
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
@@ -15,16 +17,17 @@
 #include "core/fallback.h"
 #include "graph/topology.h"
 #include "obs/export.h"
-#include "sim/chaos.h"
 #include "sim/report.h"
+#include "sim/simulate.h"
 #include "util/cli.h"
 #include "util/table.h"
 
 namespace {
 
-/// CI smoke for the journal: deterministic chaos trace, three mid-run
-/// crash-restarts recovered from the write-ahead journal, every metric
-/// compared with exact (bit-level) equality against the baseline.
+/// CI smoke for the journal: deterministic trace under fault injection,
+/// three mid-run crash-restarts recovered from the write-ahead journal,
+/// every metric compared with exact (bit-level) equality against the
+/// uninterrupted run, for each synchronous admission mode.
 int run_crash_restart_drill(std::uint64_t seed, double horizon) {
   using namespace mecra;
   util::Rng rng(seed);
@@ -34,63 +37,65 @@ int run_crash_restart_drill(std::uint64_t seed, double horizon) {
   const auto network = mec::MecNetwork::random(std::move(topo.graph), {}, rng);
   const auto catalog = mec::VnfCatalog::random({}, rng);
 
-  sim::ChaosConfig config;
+  sim::SimConfig config;
   config.arrival_rate = 1.5;
   config.mean_holding_time = 10.0;
   config.horizon = horizon;
   config.instance_failure_rate = 1.0;
   config.cloudlet_outage_rate = 0.1;
-  config.controller.mttr = 5.0;
+  config.controller = orchestrator::ControllerOptions{.mttr = 5.0};
   config.record_trace = true;
 
-  const auto baseline = sim::run_chaos(network, catalog, config, seed);
-
-  sim::ChaosConfig crashed_config = config;
-  crashed_config.journal_path =
-      (std::filesystem::temp_directory_path() / "chaos_loop_drill.journal")
-          .string();
-  crashed_config.snapshot_period = horizon / 6.0;
-  crashed_config.crash_times = {horizon * 0.2, horizon * 0.5, horizon * 0.8};
-  const auto crashed = sim::run_chaos(network, catalog, crashed_config, seed);
-  std::filesystem::remove(crashed_config.journal_path);
-
-  const sim::ChaosMetrics& a = baseline.metrics;
-  const sim::ChaosMetrics& b = crashed.metrics;
   std::size_t mismatches = 0;
-  auto check = [&](const char* what, auto lhs, auto rhs) {
-    if (lhs == rhs) return;
-    ++mismatches;
-    std::cout << "MISMATCH " << what << ": baseline " << lhs
-              << " vs crashed " << rhs << "\n";
-  };
-  check("trace length", baseline.trace.size(), crashed.trace.size());
-  if (baseline.trace.size() == crashed.trace.size() &&
-      baseline.trace != crashed.trace) {
-    ++mismatches;
-    std::cout << "MISMATCH trace: events differ\n";
-  }
-  check("admitted", a.admitted, b.admitted);
-  check("blocked", a.blocked, b.blocked);
-  check("departed", a.departed, b.departed);
-  check("repairs", a.repairs, b.repairs);
-  check("standbys_added", a.standbys_added, b.standbys_added);
-  check("revivals", a.revivals, b.revivals);
-  check("slo_time", a.slo_time, b.slo_time);
-  check("degraded_time", a.degraded_time, b.degraded_time);
-  check("down_time", a.down_time, b.down_time);
-  check("final_total_residual", a.final_total_residual,
-        b.final_total_residual);
+  for (const auto mode :
+       {sim::AdmissionMode::kPerEvent, sim::AdmissionMode::kPooled}) {
+    config.mode = mode;
+    const sim::SimReport a = sim::simulate(network, catalog, config, seed);
 
-  std::printf(
-      "crash-restart drill: %zu events, %llu crash-restarts, %zu journal "
-      "records, %zu replayed — %s\n",
-      crashed.trace.size(),
-      static_cast<unsigned long long>(b.crash_restarts), b.journal_records,
-      b.replayed_events, mismatches == 0 ? "BIT-IDENTICAL" : "DIVERGED");
-  if (b.crash_restarts != 3) {
-    std::cout << "ERROR: expected 3 crash-restarts, saw " << b.crash_restarts
-              << "\n";
-    return 1;
+    sim::SimConfig crashed_config = config;
+    crashed_config.journal_path =
+        (std::filesystem::temp_directory_path() / "chaos_loop_drill.journal")
+            .string();
+    crashed_config.snapshot_period = horizon / 6.0;
+    crashed_config.crash_times = {horizon * 0.2, horizon * 0.5, horizon * 0.8};
+    const sim::SimReport b =
+        sim::simulate(network, catalog, crashed_config, seed);
+    std::filesystem::remove(crashed_config.journal_path);
+
+    const std::size_t before = mismatches;
+    auto check = [&](const char* what, auto lhs, auto rhs) {
+      if (lhs == rhs) return;
+      ++mismatches;
+      std::cout << "MISMATCH " << what << ": baseline " << lhs
+                << " vs crashed " << rhs << "\n";
+    };
+    check("trace length", a.trace.size(), b.trace.size());
+    if (a.trace.size() == b.trace.size() && a.trace != b.trace) {
+      ++mismatches;
+      std::cout << "MISMATCH trace: events differ\n";
+    }
+    check("admitted", a.admitted, b.admitted);
+    check("rejected", a.rejected, b.rejected);
+    check("departed", a.departed, b.departed);
+    check("repairs", a.controller.repairs, b.controller.repairs);
+    check("standbys_added", a.controller.standbys_added,
+          b.controller.standbys_added);
+    check("revivals", a.controller.revivals, b.controller.revivals);
+    check("slo_time", a.slo_time, b.slo_time);
+    check("degraded_time", a.degraded_time, b.degraded_time);
+    check("down_time", a.down_time, b.down_time);
+    check("final_total_residual", a.final_total_residual,
+          b.final_total_residual);
+    check("crash-restarts", std::uint64_t{3}, b.crash_restarts);
+
+    std::printf(
+        "crash-restart drill (%s): %zu events, %llu crash-restarts, %llu "
+        "journal records, %llu replayed — %s\n",
+        mode == sim::AdmissionMode::kPooled ? "pooled" : "per-event",
+        b.trace.size(), static_cast<unsigned long long>(b.crash_restarts),
+        static_cast<unsigned long long>(b.journal_records),
+        static_cast<unsigned long long>(b.replayed_events),
+        mismatches == before ? "BIT-IDENTICAL" : "DIVERGED");
   }
   return mismatches == 0 ? 0 : 1;
 }
@@ -133,24 +138,24 @@ int main(int argc, char** argv) {
   };
   for (const Point p : {Point{0.0, 0.0}, Point{0.5, 0.02}, Point{1.0, 0.05},
                         Point{2.0, 0.1}, Point{4.0, 0.2}}) {
-    sim::ChaosConfig config;
+    sim::SimConfig config;
     config.arrival_rate = 1.0;
     config.mean_holding_time = 15.0;
     config.horizon = horizon;
     config.instance_failure_rate = p.ifail;
     config.cloudlet_outage_rate = p.outage;
     config.algorithm = augmenter.as_algorithm();
-    config.controller.policy = orchestrator::ReaugmentPolicy::kReactive;
-    config.controller.mttr = 10.0;
-    const auto m = sim::run_chaos(network, catalog, config, seed).metrics;
+    config.controller = orchestrator::ControllerOptions{
+        .policy = orchestrator::ReaugmentPolicy::kReactive, .mttr = 10.0};
+    const auto m = sim::simulate(network, catalog, config, seed);
     const double held = m.total_held_time > 0.0 ? m.total_held_time : 1.0;
     table.add_row({util::fmt(p.ifail, 2), util::fmt(p.outage, 2),
                    std::to_string(m.admitted), util::fmt_pct(m.slo_attainment, 2),
                    util::fmt_pct(m.degraded_time / held, 2),
                    util::fmt_pct(m.down_time / held, 2),
                    util::fmt(m.mean_time_to_recovery, 3),
-                   std::to_string(m.standbys_added),
-                   std::to_string(m.revivals)});
+                   std::to_string(m.controller.standbys_added),
+                   std::to_string(m.controller.revivals)});
   }
   table.print(std::cout);
 

@@ -1,29 +1,29 @@
-// Machine-readable streaming-admission throughput snapshot (streaming
-// service PR).
+// Machine-readable streaming-admission throughput snapshot.
 //
-// Drives a 1M-request open-loop Poisson trace (sim/stream_driver.h)
-// through orchestrator::StreamingService two ways:
+// Drives a 1M-request open-loop Poisson trace (sim/simulate.h) two ways:
 //
-//   * "serial"    — sim::run_stream_serial: the classic pre-streaming
-//     loop. Every event is served inline, one at a time — a fresh
-//     Orchestrator::admit (l-hop BFS per chain position) or teardown per
+//   * "serial"    — sim::AdmissionMode::kPerEvent: every event is served
+//     inline, one at a time — one Orchestrator::admit or teardown per
 //     event, plus controller bookkeeping.
-//   * "pipelined" — orchestrator::StreamingService with pipelined commit
-//     at 1/2/4/8 shard worker threads: windowed admit_batch over the
-//     ShardMap neighbourhood cache on the pipeline thread while the
-//     previous window's commit (metrics, SLO scrape, callbacks) drains on
-//     the commit thread.
+//   * "pipelined" — sim::AdmissionMode::kStreaming: orchestrator::
+//     StreamingService with pipelined commit at 1/2/4/8 shard worker
+//     threads: windowed admit_batch over the ShardMap neighbourhood cache
+//     on the pipeline thread while the previous window's commit (metrics,
+//     SLO scrape, callbacks) drains on the commit thread.
 //
-// Reported rps counts DECIDED admission candidates (arrivals + re-admits)
-// per wall second. p50/p99 for streaming runs are submit->commit queue
-// latencies (stream.admit_latency_seconds); for the serial baseline they
-// are per-call decision times (there is no queue to wait in) — compare
-// within a column, not across the two meanings. The streaming determinism
-// contract is self-checked: every STREAMING configuration must end with
-// identical admitted/rejected counts, live-service count, and total
-// residual capacity — a run that diverges writes "determinism_ok": false
-// and exits non-zero. (The serial baseline legitimately decides
-// differently: per-request admit is a different algorithm.)
+// Both columns serve the same arrival sequence and the same per-ticket
+// holding draws; they admit different amounts of it, because a window
+// holds the capacity its departures free until it closes (3 s windows
+// against a 1 s mean hold; docs/streaming_service.md, "Admission gap").
+// Reported rps counts DECIDED admission candidates
+// (arrivals + re-admits) per wall second. p50/p99 for streaming runs are
+// submit->commit queue latencies (stream.admit_latency_seconds); for the
+// serial baseline they are per-call decision times (there is no queue to
+// wait in) — compare within a column, not across the two meanings. The
+// streaming determinism contract is self-checked: every STREAMING
+// configuration must end with identical admitted/rejected counts,
+// live-service count, and total residual capacity — a run that diverges
+// writes "determinism_ok": false and exits non-zero.
 //
 // Flags:
 //   --out <path>            output path (default BENCH_stream.json)
@@ -67,7 +67,7 @@
 
 #include "io/json.h"
 #include "orchestrator/journal.h"
-#include "sim/stream_driver.h"
+#include "sim/simulate.h"
 #include "sim/workload.h"
 #include "util/cli.h"
 #include "util/stats.h"
@@ -81,7 +81,7 @@ struct Measure {
   double p50_ms_median = 0.0;
   double p99_ms_median = 0.0;
   double wall_s_median = 0.0;
-  sim::StreamMetrics last;  ///< final-state fields for the fingerprint
+  sim::SimReport last;  ///< final-state fields for the fingerprint
 };
 
 sim::Scenario scenario_for(std::size_t num_aps) {
@@ -96,29 +96,6 @@ sim::Scenario scenario_for(std::size_t num_aps) {
   return std::move(*s);
 }
 
-Measure measure(const sim::Scenario& s, const sim::StreamConfig& config,
-                std::size_t reps, bool serial_baseline) {
-  std::vector<double> rps;
-  std::vector<double> p50_ms;
-  std::vector<double> p99_ms;
-  std::vector<double> wall_s;
-  Measure m;
-  for (std::size_t r = 0; r < reps; ++r) {
-    m.last = serial_baseline
-                 ? sim::run_stream_serial(s.network, s.catalog, config, 7)
-                 : sim::run_stream(s.network, s.catalog, config, 7);
-    rps.push_back(m.last.requests_per_second);
-    p50_ms.push_back(m.last.p50_latency_seconds * 1e3);
-    p99_ms.push_back(m.last.p99_latency_seconds * 1e3);
-    wall_s.push_back(m.last.wall_seconds);
-  }
-  m.median_rps = util::quantile(rps, 0.5);
-  m.p50_ms_median = util::quantile(p50_ms, 0.5);
-  m.p99_ms_median = util::quantile(p99_ms, 0.5);
-  m.wall_s_median = util::quantile(wall_s, 0.5);
-  return m;
-}
-
 void fill(io::JsonObject& o, const Measure& m) {
   o.set("median_rps", m.median_rps);
   o.set("p50_ms_median", m.p50_ms_median);
@@ -126,7 +103,7 @@ void fill(io::JsonObject& o, const Measure& m) {
   o.set("wall_s_median", m.wall_s_median);
 }
 
-/// Rep-major measurement of several streaming configurations: rep r runs
+/// Rep-major measurement of several configurations: rep r runs
 /// every configuration once before rep r+1 starts. Config-major order
 /// (all reps of config A, then all of B) lets slow machine drift — a
 /// thermal ramp, a background job — bias entire configurations against
@@ -135,7 +112,7 @@ void fill(io::JsonObject& o, const Measure& m) {
 /// grouped vs per-record commit) are exactly the numbers that kind of
 /// bias corrupts. Medians are per configuration across reps.
 std::vector<Measure> measure_interleaved(
-    const sim::Scenario& s, const std::vector<sim::StreamConfig>& configs,
+    const sim::Scenario& s, const std::vector<sim::SimConfig>& configs,
     std::size_t reps) {
   std::vector<std::vector<double>> rps(configs.size());
   std::vector<std::vector<double>> p50_ms(configs.size());
@@ -144,7 +121,7 @@ std::vector<Measure> measure_interleaved(
   std::vector<Measure> out(configs.size());
   for (std::size_t r = 0; r < reps; ++r) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      out[c].last = sim::run_stream(s.network, s.catalog, configs[c], 7);
+      out[c].last = sim::simulate(s.network, s.catalog, configs[c], 7);
       rps[c].push_back(out[c].last.requests_per_second);
       p50_ms[c].push_back(out[c].last.p50_latency_seconds * 1e3);
       p99_ms[c].push_back(out[c].last.p99_latency_seconds * 1e3);
@@ -199,12 +176,12 @@ double append_rate(const std::string& path,
 /// The world-state fields every configuration must agree on (the
 /// determinism contract: same seed + same window schedule => identical
 /// trace at any thread count, pipelined or not).
-bool same_world(const sim::StreamMetrics& a, const sim::StreamMetrics& b) {
+bool same_world(const sim::SimReport& a, const sim::SimReport& b) {
   return a.generated == b.generated && a.arrivals == b.arrivals &&
          a.admitted == b.admitted && a.rejected == b.rejected &&
          a.departed == b.departed && a.readmits == b.readmits &&
          a.live_services == b.live_services &&
-         a.final_total_residual == b.final_total_residual;  // exact
+         a.end_total_residual == b.end_total_residual;  // exact
 }
 
 int check_against(const io::Json& fresh, const std::string& path,
@@ -317,7 +294,9 @@ int main(int argc, char** argv) {
   // plus a stream of genuine capacity rejections; W=3 makes each window a
   // ~120-candidate admit_batch, the regime the sharded engine is built
   // for. The horizon scales to hit the target trace length.
-  sim::StreamConfig base;
+  sim::SimConfig base;
+  base.mode = sim::AdmissionMode::kStreaming;
+  base.request.expectation = 0.95;
   base.arrival_rate = args.get_double("rate", 40.0);
   base.horizon =
       static_cast<double>(target_arrivals) / base.arrival_rate;
@@ -338,9 +317,10 @@ int main(int argc, char** argv) {
   root.set("schema", "mecra-stream-throughput-v1");
   root.set("description",
            "Streaming-admission throughput over an open-loop Poisson "
-           "trace (sim/stream_driver.h): serial = the classic per-event "
-           "admit/teardown loop (sim::run_stream_serial); pipelined = "
-           "orchestrator::StreamingService with epoch-pipelined commit at "
+           "trace (sim/simulate.h): serial = per-event admission, one "
+           "Orchestrator::admit/teardown per event (kPerEvent); pipelined "
+           "= orchestrator::StreamingService (kStreaming) with "
+           "epoch-pipelined commit at "
            "1/2/4/8 shard worker threads. rps counts decided candidates "
            "(arrivals + re-admits) per wall second; streaming p50/p99 are "
            "submit->commit latencies, serial p50/p99 are per-call "
@@ -371,7 +351,9 @@ int main(int argc, char** argv) {
     const sim::Scenario s = scenario_for(num_aps);
     const std::string key = "aps" + std::to_string(num_aps);
 
-    const Measure serial = measure(s, base, reps, /*serial_baseline=*/true);
+    sim::SimConfig serial_config = base;
+    serial_config.mode = sim::AdmissionMode::kPerEvent;
+    const Measure serial = measure_interleaved(s, {serial_config}, reps)[0];
     std::printf("%-15s %-10s %9.1f %9.3f %8s\n", key.c_str(), "serial",
                 serial.median_rps, serial.p99_ms_median, "1.00x");
 
@@ -386,10 +368,10 @@ int main(int argc, char** argv) {
     }());
 
     io::JsonArray pipelined_runs;
-    sim::StreamMetrics stream_world;  // first streaming run's final state
-    std::vector<sim::StreamConfig> thread_configs;
+    sim::SimReport stream_world;  // first streaming run's final state
+    std::vector<sim::SimConfig> thread_configs;
     for (const std::size_t threads : thread_counts) {
-      sim::StreamConfig config = base;
+      sim::SimConfig config = base;
       config.threads = threads;
       config.pipelined_commit = true;
       thread_configs.push_back(config);
@@ -407,8 +389,8 @@ int main(int argc, char** argv) {
       if (threads == 8) rps_at_8 = pipelined.median_rps;
       if (threads == thread_counts.front()) {
         stream_world = pipelined.last;
-        // The streaming trace's composition (the serial baseline decides
-        // differently; see the file comment).
+        // The streaming trace's composition (the serial baseline admits
+        // more of the same trace; see the file comment).
         entry.set("generated", stream_world.generated);
         entry.set("arrivals", stream_world.arrivals);
         entry.set("admitted", stream_world.admitted);
@@ -444,12 +426,12 @@ int main(int argc, char** argv) {
       const std::string jpath =
           args.get("journal", args.get("out", "BENCH_stream.json") +
                                   ".tmp.journal");
-      sim::StreamConfig jconfig = base;
+      sim::SimConfig jconfig = base;
       jconfig.threads = jthreads;
       jconfig.pipelined_commit = true;
       jconfig.journal_path = jpath;
 
-      std::vector<sim::StreamConfig> jconfigs(2, jconfig);
+      std::vector<sim::SimConfig> jconfigs(2, jconfig);
       jconfigs[0].durability = orchestrator::Durability::per_record();
       jconfigs[1].durability = grouped_durability;
       const std::vector<Measure> jmeasures =

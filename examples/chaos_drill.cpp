@@ -9,7 +9,7 @@
 
 #include "core/fallback.h"
 #include "graph/topology.h"
-#include "sim/chaos.h"
+#include "sim/simulate.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -46,13 +46,13 @@ int main(int argc, char** argv) {
             << ", instance failures 1.0/t, outages 0.05/t, MTTR 8\n\n";
 
   auto base_config = [&] {
-    sim::ChaosConfig config;
+    sim::SimConfig config;
     config.arrival_rate = 0.8;
     config.mean_holding_time = 15.0;
     config.horizon = horizon;
     config.instance_failure_rate = 1.0;
     config.cloudlet_outage_rate = 0.05;
-    config.controller.mttr = 8.0;
+    config.controller = orchestrator::ControllerOptions{.mttr = 8.0};
     return config;
   };
 
@@ -61,16 +61,17 @@ int main(int argc, char** argv) {
   for (const auto policy : {orchestrator::ReaugmentPolicy::kReactive,
                             orchestrator::ReaugmentPolicy::kPeriodic,
                             orchestrator::ReaugmentPolicy::kBackoff}) {
-    sim::ChaosConfig config = base_config();
-    config.controller.policy = policy;
-    const auto m = sim::run_chaos(network, catalog, config, seed).metrics;
+    sim::SimConfig config = base_config();
+    config.controller->policy = policy;
+    const auto m = sim::simulate(network, catalog, config, seed);
     const double held = m.total_held_time > 0.0 ? m.total_held_time : 1.0;
     table.add_row({policy_name(policy), util::fmt_pct(m.slo_attainment, 2),
                    util::fmt_pct(m.down_time / held, 2),
                    util::fmt(m.mean_time_to_recovery, 3),
-                   std::to_string(m.reaugment_attempts),
-                   std::to_string(m.standbys_added),
-                   std::to_string(m.revivals), std::to_string(m.repairs)});
+                   std::to_string(m.controller.reaugment_attempts),
+                   std::to_string(m.controller.standbys_added),
+                   std::to_string(m.controller.revivals),
+                   std::to_string(m.controller.repairs)});
   }
   table.print(std::cout);
   std::cout << "\nreactive buys the highest attainment with the most solver "
@@ -80,9 +81,9 @@ int main(int argc, char** argv) {
   // Same drill through the deadline-guarded fallback chain.
   core::FallbackAugmenter augmenter(
       core::FallbackOptions{.deadline_seconds = 0.02});
-  sim::ChaosConfig config = base_config();
+  sim::SimConfig config = base_config();
   config.algorithm = augmenter.as_algorithm();
-  const auto m = sim::run_chaos(network, catalog, config, seed).metrics;
+  const auto m = sim::simulate(network, catalog, config, seed);
   std::cout << "fallback chain (20ms deadline): SLO "
             << util::fmt_pct(m.slo_attainment, 2) << ", "
             << augmenter.calls() << " augment calls, "

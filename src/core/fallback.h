@@ -95,7 +95,7 @@ class FallbackAugmenter {
   }
   void reset_stats();
 
-  /// Adapter with the OrchestratorOptions/ChaosConfig algorithm signature.
+  /// Adapter with the OrchestratorOptions/SimConfig algorithm signature.
   /// The augmenter must outlive the returned function.
   [[nodiscard]] std::function<AugmentationResult(const BmcgapInstance&,
                                                  const AugmentOptions&)>

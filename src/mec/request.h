@@ -26,6 +26,8 @@ struct SfcRequest {
   graph::NodeId destination = 0;
 
   [[nodiscard]] std::size_t length() const noexcept { return chain.size(); }
+
+  friend bool operator==(const SfcRequest&, const SfcRequest&) = default;
 };
 
 struct RequestParams {

@@ -78,7 +78,7 @@ class Counter {
   std::string name_;
 };
 
-/// Last-write-wins instantaneous value (e.g. `chaos.slo_attainment`).
+/// Last-write-wins instantaneous value (e.g. `sim.slo_attainment`).
 ///
 /// Thread safety: `set()` is a relaxed atomic store; `add()` is a CAS
 /// loop (gauges are low-rate — use a Counter for hot accumulation).
@@ -247,9 +247,9 @@ class MetricsRegistry {
   /// histogram min/max remain LIFETIME extremes (per-window extremes
   /// cannot be reconstructed from a bounded baseline). A reset() between
   /// windows shrinks live values below the baseline; the next delta
-  /// clamps at zero instead of underflowing. This is the scrape the
-  /// simulators use to report per-epoch time series (see
-  /// sim::DynamicEpoch).
+  /// clamps at zero instead of underflowing. This is the scrape
+  /// orchestrator::StreamingService uses to report per-window deltas
+  /// (WindowReport::obs_delta).
   [[nodiscard]] MetricsSnapshot delta_snapshot() MECRA_EXCLUDES(mutex_);
 
  private:

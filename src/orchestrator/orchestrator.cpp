@@ -119,15 +119,8 @@ std::optional<ServiceId> Orchestrator::admit(const mec::SfcRequest& request,
                                      InstanceState::kRunning});
   }
 
-  core::BmcgapInstance fresh;
-  if (!options_.model_arena) {
-    fresh = core::build_bmcgap(network_, catalog_, request, *primaries,
-                               {.l_hops = options_.l_hops});
-  }
   const core::BmcgapInstance& instance =
-      options_.model_arena
-          ? serial_arena().build(network_, catalog_, request, *primaries)
-          : fresh;
+      serial_arena().build(network_, catalog_, request, *primaries);
   auto algorithm =
       options_.algorithm ? options_.algorithm : core::augment_heuristic;
   const auto result = algorithm(instance, options_.augment);
@@ -249,16 +242,8 @@ void Orchestrator::admit_in_shard(const mec::SfcRequest& request,
                                        InstanceRole::kActive,
                                        InstanceState::kRunning});
     }
-    core::BmcgapInstance fresh;
-    if (!options_.model_arena) {
-      fresh = core::build_bmcgap(network_, catalog_, request, *primaries,
-                                 {.l_hops = options_.l_hops}, *shard_map_);
-    }
-    const core::BmcgapInstance& instance =
-        options_.model_arena
-            ? shard_arena(shard).build(network_, catalog_, request,
-                                       *primaries, *shard_map_)
-            : fresh;
+    const core::BmcgapInstance& instance = shard_arena(shard).build(
+        network_, catalog_, request, *primaries, *shard_map_);
     auto algorithm =
         options_.algorithm ? options_.algorithm : core::augment_heuristic;
     auto result = algorithm(instance, options_.augment);
@@ -414,17 +399,8 @@ std::vector<std::optional<ServiceId>> Orchestrator::admit_batch(
                                          InstanceRole::kActive,
                                          InstanceState::kRunning});
       }
-      core::BmcgapInstance fresh;
-      if (!options_.model_arena) {
-        fresh = core::build_bmcgap(network_, catalog_, requests[i],
-                                   *primaries, {.l_hops = options_.l_hops},
-                                   map);
-      }
-      const core::BmcgapInstance& instance =
-          options_.model_arena
-              ? serial_arena().build(network_, catalog_, requests[i],
-                                     *primaries, map)
-              : fresh;
+      const core::BmcgapInstance& instance = serial_arena().build(
+          network_, catalog_, requests[i], *primaries, map);
       auto algorithm =
           options_.algorithm ? options_.algorithm : core::augment_heuristic;
       auto result = algorithm(instance, options_.augment);

@@ -128,12 +128,6 @@ struct OrchestratorOptions {
                                          const core::AugmentOptions&)>
       algorithm;
   BatchOptions batch;
-  /// Build admission models through per-worker core::BmcgapArena instances
-  /// (skeleton memoization with residual-epoch invalidation) instead of a
-  /// fresh core::build_bmcgap per request. Placements and instance ids are
-  /// bit-identical either way (asserted in tests/batch_test.cpp); false
-  /// keeps the legacy fresh-build path for those equivalence tests.
-  bool model_arena = true;
 };
 
 /// Everything admit_batch decided for one batch, kept only when
@@ -207,13 +201,6 @@ class Orchestrator {
   /// BatchOptions::record_audit was set).
   [[nodiscard]] const BatchAudit& last_batch_audit() const noexcept {
     return batch_audit_;
-  }
-
-  /// The serial-path model arena (admit + the batch fallback pass), or
-  /// nullptr while unused / OrchestratorOptions::model_arena is off.
-  /// Exposed for cache-effectiveness assertions in tests.
-  [[nodiscard]] const core::BmcgapArena* model_arena() const noexcept {
-    return serial_arena_.get();
   }
 
   /// Shard that exclusively owns every instance of the service, or nullopt

@@ -1,7 +1,7 @@
 // Tests for the sharded batch-admission engine: ShardMap partition
 // invariants, admit_batch bit-determinism across thread counts, the
-// border/fallback pass (validated plans + capacity conservation), and the
-// batched dynamic/chaos simulator modes.
+// border/fallback pass (validated plans + capacity conservation), the
+// model arena against fresh builds, and pooled simulation with faults.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,8 +15,7 @@
 #include "core/validator.h"
 #include "mec/shard_map.h"
 #include "orchestrator/orchestrator.h"
-#include "sim/chaos.h"
-#include "sim/dynamic.h"
+#include "sim/simulate.h"
 #include "sim/workload.h"
 #include "util/rng.h"
 
@@ -226,33 +225,35 @@ TEST(AdmitBatch, ModelArenaHitsRefreshesAndMatchesFreshBuilds) {
   expect_same_instance(
       refreshed, core::build_bmcgap(network, s.catalog, requests[0],
                                     *primaries, {.l_hops = 1}));
-}
 
-TEST(AdmitBatch, ArenaMatchesFreshModelsAcrossThreadCounts) {
-  // The end-to-end bit-identity sweep the arena ships under: repeated
-  // sharded batches with model_arena on, at 1/2/4/8 threads, must land on
-  // exactly the WorldSnap of the legacy build-every-model path.
-  const sim::Scenario s = big_scenario(19, 100, 0.5);
-
-  auto run = [&](bool arena, std::size_t threads) {
-    orchestrator::OrchestratorOptions opt;
-    opt.model_arena = arena;
-    opt.batch.threads = threads;
-    orchestrator::Orchestrator orch(s.network, s.catalog, opt);
-    util::Rng rng(31);
-    for (std::uint64_t round = 0; round < 3; ++round) {
-      const auto requests = make_requests(s, 25, 0.9, 300 + round);
-      (void)orch.admit_batch(requests, rng);
+  // The shard-map overload the batch path uses, over a sequence of builds
+  // on a draining network: the first round admits every request (a miss
+  // each), later rounds drain capacity before every rebuild (a refresh
+  // each), and every instance matches a fresh shard-map build.
+  const mec::ShardMap map = mec::ShardMap::build(network, {.l_hops = 1});
+  core::BmcgapArena batch_arena({.l_hops = 1});
+  const auto drain = make_requests(s, 8, 0.9, 321);
+  std::vector<admission::PrimaryPlacement> placed(drain.size());
+  util::Rng drain_rng(56);
+  for (std::size_t round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < drain.size(); ++i) {
+      if (round == 0) {
+        auto p = admission::random_admission(network, s.catalog, drain[i],
+                                             drain_rng);
+        ASSERT_TRUE(p.has_value());
+        placed[i] = std::move(*p);
+      } else {
+        const graph::NodeId v = placed[i].cloudlet_of.front();
+        network.consume(v, network.residual(v) / 4.0);
+      }
+      expect_same_instance(
+          batch_arena.build(network, s.catalog, drain[i], placed[i], map),
+          core::build_bmcgap(network, s.catalog, drain[i], placed[i],
+                             {.l_hops = 1}, map));
     }
-    return snapshot(orch);
-  };
-
-  const WorldSnap fresh = run(false, 1);
-  ASSERT_FALSE(fresh.instances.empty());
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    EXPECT_EQ(run(true, threads), fresh) << "threads=" << threads;
   }
+  EXPECT_EQ(batch_arena.stats().misses, drain.size());
+  EXPECT_EQ(batch_arena.stats().refreshes, 2 * drain.size());
 }
 
 TEST(AdmitBatch, BorderContentionPlansValidateAndCapacityConserves) {
@@ -294,103 +295,34 @@ TEST(AdmitBatch, BorderContentionPlansValidateAndCapacityConserves) {
   EXPECT_DOUBLE_EQ(orch.network().total_residual(), before);
 }
 
-TEST(DynamicSim, BatchedModeDeterministicAcrossThreadCountsAndConserving) {
-  const sim::Scenario s = big_scenario(19, 100, 0.5);
-  sim::DynamicConfig config;
-  config.arrival_rate = 2.0;
-  config.mean_holding_time = 5.0;
-  config.horizon = 40.0;
-  config.expectation = 0.95;
-  config.batch_window = 2.0;
-
-  const double pristine = [&] {
-    mec::MecNetwork copy = s.network;
-    return copy.total_residual();
-  }();
-
-  std::vector<sim::DynamicMetrics> runs;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    config.batch_threads = threads;
-    runs.push_back(sim::run_dynamic(s.network, s.catalog, config, 123));
-  }
-  const sim::DynamicMetrics& a = runs[0];
-  const sim::DynamicMetrics& b = runs[1];
-  EXPECT_EQ(a.arrivals, b.arrivals);
-  EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.blocked, b.blocked);
-  EXPECT_EQ(a.departed, b.departed);
-  EXPECT_EQ(a.met_expectation, b.met_expectation);
-  EXPECT_DOUBLE_EQ(a.mean_achieved_reliability, b.mean_achieved_reliability);
-  EXPECT_DOUBLE_EQ(a.time_avg_utilization, b.time_avg_utilization);
-  EXPECT_DOUBLE_EQ(a.final_total_residual, b.final_total_residual);
-  ASSERT_EQ(a.epochs.size(), b.epochs.size());
-  for (std::size_t e = 0; e < a.epochs.size(); ++e) {
-    EXPECT_EQ(a.epochs[e].arrivals, b.epochs[e].arrivals);
-    EXPECT_EQ(a.epochs[e].admitted, b.epochs[e].admitted);
-    EXPECT_EQ(a.epochs[e].blocked, b.epochs[e].blocked);
-    EXPECT_DOUBLE_EQ(a.epochs[e].utilization, b.epochs[e].utilization);
-  }
-
-  EXPECT_GT(a.admitted, 0u);
-  EXPECT_EQ(a.departed, a.admitted);  // horizon drains every service
-  EXPECT_DOUBLE_EQ(a.final_total_residual, pristine);
-  // The epoch series tiles the run.
-  ASSERT_FALSE(a.epochs.empty());
-  std::size_t arrivals = 0;
-  std::size_t admitted = 0;
-  std::size_t blocked = 0;
-  for (const sim::DynamicEpoch& epoch : a.epochs) {
-    arrivals += epoch.arrivals;
-    admitted += epoch.admitted;
-    blocked += epoch.blocked;
-  }
-  EXPECT_EQ(arrivals, a.arrivals);
-  EXPECT_EQ(admitted, a.admitted);
-  EXPECT_EQ(blocked, a.blocked);
-  EXPECT_DOUBLE_EQ(a.epochs.back().end_time, config.horizon);
-}
-
 TEST(ChaosSim, BatchedArrivalsTraceIdenticalAcrossThreadCounts) {
   const sim::Scenario s = big_scenario(23, 100, 0.5);
-  sim::ChaosConfig config;
+  sim::SimConfig config;
+  config.mode = sim::AdmissionMode::kPooled;
+  config.window_width = 2.0;
   config.arrival_rate = 2.0;
   config.mean_holding_time = 15.0;
   config.horizon = 50.0;
-  config.expectation = 0.95;
+  config.request.expectation = 0.95;
+  config.controller = orchestrator::ControllerOptions{};
+  config.instance_failure_rate = 0.5;
+  config.cloudlet_outage_rate = 0.05;
   config.record_trace = true;
-  config.max_batch_arrivals = 4;
 
-  std::vector<sim::ChaosReport> runs;
+  std::vector<sim::SimReport> runs;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    config.batch_threads = threads;
-    runs.push_back(sim::run_chaos(s.network, s.catalog, config, 321));
+    config.threads = threads;
+    runs.push_back(sim::simulate(s.network, s.catalog, config, 321));
   }
   EXPECT_EQ(runs[0].trace, runs[1].trace);
-  EXPECT_GT(runs[0].metrics.admitted, 0u);
-  EXPECT_EQ(runs[0].metrics.admitted, runs[1].metrics.admitted);
-  EXPECT_EQ(runs[0].metrics.blocked, runs[1].metrics.blocked);
-  EXPECT_EQ(runs[0].metrics.standbys_added, runs[1].metrics.standbys_added);
-  EXPECT_DOUBLE_EQ(runs[0].metrics.slo_attainment,
-                   runs[1].metrics.slo_attainment);
-  EXPECT_DOUBLE_EQ(runs[0].metrics.final_total_residual,
-                   runs[1].metrics.final_total_residual);
-}
-
-TEST(ChaosSim, DefaultBatchSizePreservesClassicBehavior) {
-  // max_batch_arrivals = 1 must run the historical per-arrival path: an
-  // explicitly-defaulted config reproduces an untouched one's trace.
-  const sim::Scenario s = big_scenario(29, 100, 0.5);
-  sim::ChaosConfig classic;
-  classic.horizon = 30.0;
-  classic.record_trace = true;
-  sim::ChaosConfig defaulted = classic;
-  defaulted.max_batch_arrivals = 1;
-  defaulted.batch_threads = 1;
-  const auto a = sim::run_chaos(s.network, s.catalog, classic, 55);
-  const auto b = sim::run_chaos(s.network, s.catalog, defaulted, 55);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_DOUBLE_EQ(a.metrics.final_total_residual,
-                   b.metrics.final_total_residual);
+  EXPECT_GT(runs[0].admitted, 0u);
+  EXPECT_EQ(runs[0].admitted, runs[1].admitted);
+  EXPECT_EQ(runs[0].rejected, runs[1].rejected);
+  EXPECT_EQ(runs[0].controller.standbys_added,
+            runs[1].controller.standbys_added);
+  EXPECT_DOUBLE_EQ(runs[0].slo_attainment, runs[1].slo_attainment);
+  EXPECT_DOUBLE_EQ(runs[0].final_total_residual,
+                   runs[1].final_total_residual);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
-// Crash-restart drills for the chaos loop: mid-run the orchestrator and
-// controller are torn down and recovered from the write-ahead journal, and
-// the REMAINDER of the trace must be bit-identical to an uninterrupted run
-// — the acceptance bar for orchestrator/journal.h. Also covers recovery
-// from a journal whose final record was torn by the crash itself.
+// Crash-restart drills of the simulation core (sim/simulate.h) under
+// fault injection: mid-run the orchestrator and controller are torn down
+// and recovered from the write-ahead journal, and the REMAINDER of the
+// trace must be bit-identical to an uninterrupted run — the acceptance bar
+// for orchestrator/journal.h — under per-event and pooled admission alike.
+// Also covers recovery from a journal whose final record was torn by the
+// crash itself.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,7 +14,7 @@
 
 #include "graph/topology.h"
 #include "orchestrator/journal.h"
-#include "sim/chaos.h"
+#include "sim/simulate.h"
 
 namespace mecra::sim {
 namespace {
@@ -30,14 +32,14 @@ mec::VnfCatalog small_catalog(std::uint64_t seed) {
   return mec::VnfCatalog::random({}, rng);
 }
 
-ChaosConfig small_config() {
-  ChaosConfig config;
+SimConfig small_config() {
+  SimConfig config;
   config.arrival_rate = 1.0;
   config.mean_holding_time = 8.0;
   config.horizon = 30.0;
   config.instance_failure_rate = 1.0;
   config.cloudlet_outage_rate = 0.1;
-  config.controller.mttr = 5.0;
+  config.controller = orchestrator::ControllerOptions{.mttr = 5.0};
   config.record_trace = true;
   return config;
 }
@@ -56,24 +58,21 @@ std::string file_bytes(const std::string& path) {
 /// Every field the two runs must agree on. The journal bookkeeping fields
 /// (crash_restarts, journal_records, replayed_events) are asserted
 /// separately — they legitimately differ from an unjournaled baseline.
-void expect_equivalent(const ChaosReport& baseline,
-                       const ChaosReport& crashed) {
-  ASSERT_FALSE(baseline.trace.empty());
-  EXPECT_EQ(baseline.trace, crashed.trace);  // exact double equality
-  const ChaosMetrics& a = baseline.metrics;
-  const ChaosMetrics& b = crashed.metrics;
+void expect_equivalent(const SimReport& a, const SimReport& b) {
+  ASSERT_FALSE(a.trace.empty());
+  EXPECT_EQ(a.trace, b.trace);  // exact double equality
   EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_EQ(a.admitted, b.admitted);
-  EXPECT_EQ(a.blocked, b.blocked);
+  EXPECT_EQ(a.rejected, b.rejected);
   EXPECT_EQ(a.departed, b.departed);
   EXPECT_EQ(a.instance_failures, b.instance_failures);
   EXPECT_EQ(a.cloudlet_outages, b.cloudlet_outages);
-  EXPECT_EQ(a.repairs, b.repairs);
-  EXPECT_EQ(a.reaugment_attempts, b.reaugment_attempts);
-  EXPECT_EQ(a.reaugment_successes, b.reaugment_successes);
-  EXPECT_EQ(a.reaugment_failures, b.reaugment_failures);
-  EXPECT_EQ(a.standbys_added, b.standbys_added);
-  EXPECT_EQ(a.revivals, b.revivals);
+  EXPECT_EQ(a.controller.repairs, b.controller.repairs);
+  EXPECT_EQ(a.controller.reaugment_attempts, b.controller.reaugment_attempts);
+  EXPECT_EQ(a.controller.reaugment_successes, b.controller.reaugment_successes);
+  EXPECT_EQ(a.controller.reaugment_failures, b.controller.reaugment_failures);
+  EXPECT_EQ(a.controller.standbys_added, b.controller.standbys_added);
+  EXPECT_EQ(a.controller.revivals, b.controller.revivals);
   EXPECT_EQ(a.total_held_time, b.total_held_time);
   EXPECT_EQ(a.slo_time, b.slo_time);
   EXPECT_EQ(a.degraded_time, b.degraded_time);
@@ -88,62 +87,89 @@ void expect_equivalent(const ChaosReport& baseline,
 TEST(Recovery, ThreeCrashRestartsLeaveTheTraceBitIdentical) {
   const auto network = small_network(42);
   const auto catalog = small_catalog(42);
-  const ChaosConfig baseline_config = small_config();
-  const ChaosReport baseline = run_chaos(network, catalog, baseline_config, 7);
+  const SimConfig baseline_config = small_config();
+  const SimReport baseline = simulate(network, catalog, baseline_config, 7);
 
-  ChaosConfig crashed_config = small_config();
+  SimConfig crashed_config = small_config();
   crashed_config.journal_path = temp_path("recovery_serial.journal");
   crashed_config.snapshot_period = 7.0;
   crashed_config.crash_times = {6.0, 14.0, 22.0};
-  const ChaosReport crashed = run_chaos(network, catalog, crashed_config, 7);
+  const SimReport crashed = simulate(network, catalog, crashed_config, 7);
 
-  EXPECT_EQ(crashed.metrics.crash_restarts, 3u);
-  EXPECT_GT(crashed.metrics.replayed_events, 0u);
-  EXPECT_GT(crashed.metrics.journal_records, 0u);
+  EXPECT_EQ(crashed.crash_restarts, 3u);
+  EXPECT_GT(crashed.replayed_events, 0u);
+  EXPECT_GT(crashed.journal_records, 0u);
   expect_equivalent(baseline, crashed);
 }
 
 TEST(Recovery, CrashRestartsSurviveBatchedAdmissionToo) {
   const auto network = small_network(17);
   const auto catalog = small_catalog(17);
-  ChaosConfig base = small_config();
-  base.arrival_rate = 2.0;  // bigger pools, more batch commits
-  base.max_batch_arrivals = 4;
-  base.batch_threads = 2;
-  const ChaosReport baseline = run_chaos(network, catalog, base, 5);
+  SimConfig base = small_config();
+  base.arrival_rate = 2.0;  // bigger windows, more batch commits
+  base.mode = AdmissionMode::kPooled;
+  base.window_width = 2.0;
+  base.threads = 2;
+  const SimReport baseline = simulate(network, catalog, base, 5);
 
-  ChaosConfig crashed_config = base;
+  SimConfig crashed_config = base;
   crashed_config.journal_path = temp_path("recovery_batched.journal");
   crashed_config.snapshot_period = 10.0;
   crashed_config.crash_times = {5.0, 15.0, 25.0};
-  const ChaosReport crashed = run_chaos(network, catalog, crashed_config, 5);
+  const SimReport crashed = simulate(network, catalog, crashed_config, 5);
 
-  EXPECT_EQ(crashed.metrics.crash_restarts, 3u);
+  EXPECT_EQ(crashed.crash_restarts, 3u);
   expect_equivalent(baseline, crashed);
 }
 
 TEST(Recovery, GroupedJournalCrashDrillsStayBitIdentical) {
-  // Group commit on the serial chaos loop: a bytes(N) budget batches the
+  // Group commit on the per-event loop: a bytes(N) budget batches the
   // event appends into multi-record physical writes, yet the crash drills
   // and the final journal bytes must be indistinguishable from the
   // historical flush-per-event run — closing the journal before each
   // recovery flushes the pending group, exactly like an uninterrupted file.
   const auto network = small_network(42);
   const auto catalog = small_catalog(42);
-  ChaosConfig per_record = small_config();
+  SimConfig per_record = small_config();
   per_record.journal_path = temp_path("recovery_grouped_base.journal");
   per_record.snapshot_period = 7.0;
   per_record.crash_times = {6.0, 14.0, 22.0};
-  const ChaosReport baseline = run_chaos(network, catalog, per_record, 7);
+  const SimReport baseline = simulate(network, catalog, per_record, 7);
 
-  ChaosConfig grouped = per_record;
+  SimConfig grouped = per_record;
   grouped.journal_path = temp_path("recovery_grouped.journal");
-  grouped.journal_durability = orchestrator::Durability::bytes(2048);
-  const ChaosReport crashed = run_chaos(network, catalog, grouped, 7);
+  grouped.durability = orchestrator::Durability::bytes(2048);
+  const SimReport crashed = simulate(network, catalog, grouped, 7);
 
-  EXPECT_EQ(crashed.metrics.crash_restarts, 3u);
-  EXPECT_EQ(crashed.metrics.journal_records,
-            baseline.metrics.journal_records);
+  EXPECT_EQ(crashed.crash_restarts, 3u);
+  EXPECT_EQ(crashed.journal_records,
+            baseline.journal_records);
+  expect_equivalent(baseline, crashed);
+  EXPECT_EQ(file_bytes(grouped.journal_path),
+            file_bytes(per_record.journal_path));
+}
+
+TEST(Recovery, PooledWindowGroupsCrashDrillsStayBitIdentical) {
+  // Pooled admission with one journal group per window: crash drills
+  // between windows reproduce the per-record run's trace and file bytes.
+  const auto network = small_network(17);
+  const auto catalog = small_catalog(17);
+  SimConfig per_record = small_config();
+  per_record.mode = AdmissionMode::kPooled;
+  per_record.window_width = 1.5;
+  per_record.journal_path = temp_path("recovery_pooled_base.journal");
+  per_record.snapshot_period = 8.0;
+  const SimReport baseline = simulate(network, catalog, per_record, 13);
+
+  SimConfig grouped = per_record;
+  grouped.journal_path = temp_path("recovery_pooled_grouped.journal");
+  grouped.durability = orchestrator::Durability::per_window();
+  grouped.crash_times = {7.0, 16.0, 24.0};
+  const SimReport crashed = simulate(network, catalog, grouped, 13);
+
+  EXPECT_EQ(crashed.crash_restarts, 3u);
+  EXPECT_GT(crashed.windows, 0u);
+  EXPECT_EQ(crashed.journal_records, baseline.journal_records);
   expect_equivalent(baseline, crashed);
   EXPECT_EQ(file_bytes(grouped.journal_path),
             file_bytes(per_record.journal_path));
@@ -154,25 +180,25 @@ TEST(Recovery, JournaledRunWithoutCrashesMatchesTheBaselineToo) {
   // without a journal attached.
   const auto network = small_network(42);
   const auto catalog = small_catalog(42);
-  const ChaosReport baseline = run_chaos(network, catalog, small_config(), 9);
+  const SimReport baseline = simulate(network, catalog, small_config(), 9);
 
-  ChaosConfig journaled = small_config();
+  SimConfig journaled = small_config();
   journaled.journal_path = temp_path("recovery_observer.journal");
   journaled.snapshot_period = 5.0;
-  const ChaosReport observed = run_chaos(network, catalog, journaled, 9);
+  const SimReport observed = simulate(network, catalog, journaled, 9);
 
-  EXPECT_EQ(observed.metrics.crash_restarts, 0u);
-  EXPECT_EQ(observed.metrics.replayed_events, 0u);
+  EXPECT_EQ(observed.crash_restarts, 0u);
+  EXPECT_EQ(observed.replayed_events, 0u);
   expect_equivalent(baseline, observed);
 }
 
 TEST(Recovery, ChaosJournalWithTornFinalRecordStillRecovers) {
   const auto network = small_network(23);
   const auto catalog = small_catalog(23);
-  ChaosConfig config = small_config();
+  SimConfig config = small_config();
   config.journal_path = temp_path("recovery_torn.journal");
   config.snapshot_period = 6.0;
-  (void)run_chaos(network, catalog, config, 3);
+  (void)simulate(network, catalog, config, 3);
 
   const orchestrator::JournalScan intact =
       orchestrator::scan_journal(config.journal_path);
@@ -185,7 +211,7 @@ TEST(Recovery, ChaosJournalWithTornFinalRecordStillRecovers) {
                                std::filesystem::file_size(config.journal_path)
                                    - 4);
   orchestrator::RecoverOptions options;
-  options.controller = config.controller;
+  options.controller = *config.controller;
   const orchestrator::Recovered recovered =
       orchestrator::recover(config.journal_path, options);
   EXPECT_TRUE(recovered.torn_tail);

@@ -1,5 +1,5 @@
-// Tests for the streaming admission service (orchestrator/streaming.h)
-// and its open-loop driver (sim/stream_driver.h):
+// Tests for the streaming admission service (orchestrator/streaming.h),
+// driven directly and through sim::simulate's kStreaming mode:
 //
 //   * the determinism contract — bit-identical results AND journal bytes
 //     across shard thread counts and pipelined/inline commit;
@@ -34,7 +34,7 @@
 #include "orchestrator/journal.h"
 #include "orchestrator/orchestrator.h"
 #include "orchestrator/streaming.h"
-#include "sim/stream_driver.h"
+#include "sim/simulate.h"
 #include "util/faultpoint.h"
 #include "util/rng.h"
 
@@ -101,7 +101,9 @@ struct ReportSink {
 TEST(Streaming, BitIdenticalAcrossThreadCountsAndPipelining) {
   const auto network = small_network(42);
   const auto catalog = small_catalog(42);
-  sim::StreamConfig config;
+  sim::SimConfig config;
+  config.mode = sim::AdmissionMode::kStreaming;
+  config.request.expectation = 0.95;
   config.arrival_rate = 25.0;
   config.mean_holding_time = 4.0;
   config.horizon = 12.0;
@@ -123,25 +125,25 @@ TEST(Streaming, BitIdenticalAcrossThreadCountsAndPipelining) {
       {2, true, Durability::bytes(4096), "stream_det_t2_pipe.journal"},
       {4, true, Durability::per_window(), "stream_det_t4_pipe.journal"},
   };
-  std::vector<sim::StreamMetrics> metrics;
+  std::vector<sim::SimReport> metrics;
   std::vector<std::string> journals;
   for (const Variant& v : variants) {
-    sim::StreamConfig c = config;
+    sim::SimConfig c = config;
     c.threads = v.threads;
     c.pipelined_commit = v.pipelined;
     c.durability = v.durability;
     c.journal_path = temp_path(v.journal);
-    metrics.push_back(sim::run_stream(network, catalog, c, 7));
+    metrics.push_back(sim::simulate(network, catalog, c, 7));
     journals.push_back(file_bytes(c.journal_path));
   }
-  const sim::StreamMetrics& base = metrics[0];
+  const sim::SimReport& base = metrics[0];
   ASSERT_GT(base.arrivals, 0u);
   ASSERT_GT(base.admitted, 0u);
   ASSERT_GT(base.departed, 0u);
   ASSERT_GT(base.readmits, 0u);
   ASSERT_FALSE(journals[0].empty());
   for (std::size_t i = 1; i < metrics.size(); ++i) {
-    const sim::StreamMetrics& m = metrics[i];
+    const sim::SimReport& m = metrics[i];
     EXPECT_EQ(m.generated, base.generated);
     EXPECT_EQ(m.arrivals, base.arrivals);
     EXPECT_EQ(m.admitted, base.admitted);
@@ -150,7 +152,7 @@ TEST(Streaming, BitIdenticalAcrossThreadCountsAndPipelining) {
     EXPECT_EQ(m.readmits, base.readmits);
     EXPECT_EQ(m.windows, base.windows);
     EXPECT_EQ(m.live_services, base.live_services);
-    EXPECT_EQ(m.final_total_residual, base.final_total_residual);
+    EXPECT_EQ(m.end_total_residual, base.end_total_residual);
     // The strongest check: every journal byte (ids, services, residuals)
     // matches the serial inline-commit baseline.
     EXPECT_EQ(journals[i], journals[0]) << "variant " << i;
