@@ -11,8 +11,6 @@
 //   group x8/64/512 — per_window durability with an explicit flush()
 //                  every N appends (the streaming commit thread's pattern;
 //                  64 approximates one 3s window of the 1M-request trace)
-//   bytes:64k    — byte-budget durability (the serial chaos loop's
-//                  natural grouping; no explicit flush calls at all)
 //
 // over small teardown-shaped payloads and ~1 KiB admit-shaped payloads.
 // The interesting number is the per-record-vs-grouped ratio, not the
@@ -103,7 +101,6 @@ int main(int argc, char** argv) {
       {"group x8", orchestrator::Durability::per_window(), 8},
       {"group x64", orchestrator::Durability::per_window(), 64},
       {"group x512", orchestrator::Durability::per_window(), 512},
-      {"bytes:64k", orchestrator::Durability::bytes(64 * 1024), 1},
   };
 
   std::printf("%-12s %-7s %14s %14s %9s\n", "config", "payload", "records/s",

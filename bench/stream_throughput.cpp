@@ -7,9 +7,9 @@
 //     event, plus controller bookkeeping.
 //   * "pipelined" — sim::AdmissionMode::kStreaming: orchestrator::
 //     StreamingService with pipelined commit at 1/2/4/8 shard worker
-//     threads: windowed admit_batch over the ShardMap neighbourhood cache
-//     on the pipeline thread while the previous window's commit (metrics,
-//     SLO scrape, callbacks) drains on the commit thread.
+//     threads: windowed admit_batch on the pipeline thread while the
+//     previous window's commit (metrics, SLO scrape, callbacks) drains on
+//     the commit thread.
 //
 // Both columns serve the same arrival sequence and the same per-ticket
 // holding draws; they admit different amounts of it, because a window
@@ -41,8 +41,8 @@
 //                           path (default: <out>.tmp.journal, deleted
 //                           afterwards; pass a path to keep the file)
 //   --durability <p>        group-commit policy of the journaled column's
-//                           "grouped" leg: per_record | per_window |
-//                           bytes:<N> (default per_window;
+//                           "grouped" leg: per_record | per_window
+//                           (default per_window;
 //                           orchestrator::Durability::parse syntax)
 //   --check-against <path>  compare against a committed snapshot and exit
 //                           non-zero if any thread count's

@@ -31,17 +31,11 @@ double BmcgapInstance::needed_gain() const {
   return std::max(0.0, std::log(expectation) - std::log(initial_reliability));
 }
 
-namespace {
-
-/// Shared builder; `allowed_for(primary)` yields the candidate cloudlets
-/// of N_l^+(primary) (either a fresh BFS or the shard map's cache).
-template <typename AllowedFn>
-BmcgapInstance build_bmcgap_impl(const mec::MecNetwork& network,
-                                 const mec::VnfCatalog& catalog,
-                                 const mec::SfcRequest& request,
-                                 const admission::PrimaryPlacement& primaries,
-                                 const BmcgapOptions& options,
-                                 const AllowedFn& allowed_for) {
+BmcgapInstance build_bmcgap(const mec::MecNetwork& network,
+                            const mec::VnfCatalog& catalog,
+                            const mec::SfcRequest& request,
+                            const admission::PrimaryPlacement& primaries,
+                            const BmcgapOptions& options) {
   MECRA_CHECK_MSG(primaries.length() == request.length(),
                   "primary placement must cover the whole chain");
   MECRA_CHECK(options.l_hops >= 1);
@@ -63,7 +57,7 @@ BmcgapInstance build_bmcgap_impl(const mec::MecNetwork& network,
     bf.primary = primary;
     bf.reliability = fn.reliability;
     bf.demand = fn.cpu_demand;
-    bf.allowed = allowed_for(primary);
+    bf.allowed = network.cloudlets_within(primary, options.l_hops);
 
     // K_i: capacity-supported count across the allowed cloudlets (the
     // paper's sum of floor(C'_u / c(f_i))) intersected with the
@@ -117,34 +111,6 @@ BmcgapInstance build_bmcgap_impl(const mec::MecNetwork& network,
   }
   inst.big_m = 100.0 * max_cost;
   return inst;
-}
-
-}  // namespace
-
-BmcgapInstance build_bmcgap(const mec::MecNetwork& network,
-                            const mec::VnfCatalog& catalog,
-                            const mec::SfcRequest& request,
-                            const admission::PrimaryPlacement& primaries,
-                            const BmcgapOptions& options) {
-  return build_bmcgap_impl(
-      network, catalog, request, primaries, options,
-      [&](graph::NodeId primary) {
-        return network.cloudlets_within(primary, options.l_hops);
-      });
-}
-
-BmcgapInstance build_bmcgap(const mec::MecNetwork& network,
-                            const mec::VnfCatalog& catalog,
-                            const mec::SfcRequest& request,
-                            const admission::PrimaryPlacement& primaries,
-                            const BmcgapOptions& options,
-                            const mec::ShardMap& neighborhoods) {
-  MECRA_CHECK_MSG(neighborhoods.l_hops() == options.l_hops,
-                  "shard map was built for a different locality bound");
-  return build_bmcgap_impl(network, catalog, request, primaries, options,
-                           [&](graph::NodeId primary) {
-                             return neighborhoods.neighborhood(primary);
-                           });
 }
 
 }  // namespace mecra::core

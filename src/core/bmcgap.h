@@ -20,7 +20,6 @@
 #include "mec/network.h"
 #include "mec/reliability.h"
 #include "mec/request.h"
-#include "mec/shard_map.h"
 #include "mec/vnf.h"
 
 namespace mecra::core {
@@ -96,23 +95,14 @@ struct BmcgapOptions {
   std::uint32_t secondary_hard_cap = 64;
 };
 
-/// Builds the instance against the network's CURRENT residual capacities.
-/// `primaries.length()` must equal `request.length()`, and every primary
-/// must sit on a cloudlet node.
+/// Builds the instance against the network's CURRENT residual capacities;
+/// each candidate set is MecNetwork::cloudlets_within(primary, l_hops), the
+/// hop oracle's ball. `primaries.length()` must equal `request.length()`,
+/// and every primary must sit on a cloudlet node.
 [[nodiscard]] BmcgapInstance build_bmcgap(
     const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     const mec::SfcRequest& request,
     const admission::PrimaryPlacement& primaries,
     const BmcgapOptions& options = {});
-
-/// Same instance, but candidate sets come from the shard map's precomputed
-/// N_l^+ neighbourhood cache instead of one BFS per chain position —
-/// byte-identical output (asserted in tests) at a fraction of the cost on
-/// large topologies. Requires `neighborhoods.l_hops() == options.l_hops`.
-[[nodiscard]] BmcgapInstance build_bmcgap(
-    const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
-    const mec::SfcRequest& request,
-    const admission::PrimaryPlacement& primaries,
-    const BmcgapOptions& options, const mec::ShardMap& neighborhoods);
 
 }  // namespace mecra::core

@@ -30,7 +30,7 @@ void BmcgapArena::refresh(Skeleton& skel, const mec::MecNetwork& network) const 
   BmcgapInstance& inst = skel.inst;
 
   // K_i and the item universe: same arithmetic, same order as
-  // build_bmcgap_impl, over the cached allowed lists.
+  // build_bmcgap, over the cached allowed lists.
   inst.items.clear();
   for (std::size_t i = 0; i < inst.functions.size(); ++i) {
     BmcgapFunction& bf = inst.functions[i];
@@ -65,10 +65,10 @@ void BmcgapArena::refresh(Skeleton& skel, const mec::MecNetwork& network) const 
   inst.big_m = 100.0 * max_cost;
 }
 
-template <typename FreshFn>
-const BmcgapInstance& BmcgapArena::build_impl(
-    const mec::MecNetwork& network, const mec::SfcRequest& request,
-    const admission::PrimaryPlacement& primaries, const FreshFn& fresh) {
+const BmcgapInstance& BmcgapArena::build(
+    const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
+    const mec::SfcRequest& request,
+    const admission::PrimaryPlacement& primaries) {
   MECRA_CHECK_MSG(primaries.length() == request.length(),
                   "primary placement must cover the whole chain");
   MECRA_CHECK(request.expectation > 0.0 && request.expectation <= 1.0);
@@ -94,7 +94,7 @@ const BmcgapInstance& BmcgapArena::build_impl(
       ++stats_.evictions;
     }
     Skeleton skel;
-    skel.inst = fresh();
+    skel.inst = build_bmcgap(network, catalog, request, primaries, options_);
     skel.gain_caps.reserve(skel.inst.functions.size());
     for (const BmcgapFunction& bf : skel.inst.functions) {
       skel.gain_caps.push_back(mec::useful_secondary_cap(
@@ -116,26 +116,6 @@ const BmcgapInstance& BmcgapArena::build_impl(
   inst.expectation = request.expectation;
   inst.budget = -std::log(request.expectation);
   return inst;
-}
-
-const BmcgapInstance& BmcgapArena::build(
-    const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
-    const mec::SfcRequest& request,
-    const admission::PrimaryPlacement& primaries) {
-  return build_impl(network, request, primaries, [&] {
-    return build_bmcgap(network, catalog, request, primaries, options_);
-  });
-}
-
-const BmcgapInstance& BmcgapArena::build(
-    const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
-    const mec::SfcRequest& request,
-    const admission::PrimaryPlacement& primaries,
-    const mec::ShardMap& neighborhoods) {
-  return build_impl(network, request, primaries, [&] {
-    return build_bmcgap(network, catalog, request, primaries, options_,
-                        neighborhoods);
-  });
 }
 
 }  // namespace mecra::core

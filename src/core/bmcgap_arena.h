@@ -25,12 +25,13 @@
 // The residual epoch check is conservative: an unchanged epoch proves no
 // residual anywhere changed, so full reuse is safe; a changed epoch merely
 // forces a refresh that rereads residuals over the cached cloudlet union —
-// still skipping the BFS/union/catalog work. Either way the produced
+// still skipping the ball/union/catalog work. Either way the produced
 // instance is BIT-IDENTICAL to a fresh build_bmcgap call (asserted in
-// tests/batch_test.cpp across 1/2/4/8 threads).
+// tests/batch_test.cpp).
 //
 // Thread safety: none — one arena per shard worker (workers already own
-// disjoint request sets), plus one for the orchestrator's serial paths.
+// disjoint request sets), plus one for the orchestrator's whole-network
+// admissions (admit() and the batch border pass).
 // The returned reference is valid until the next build()/clear() call on
 // the same arena.
 //
@@ -51,20 +52,11 @@ class BmcgapArena {
  public:
   explicit BmcgapArena(BmcgapOptions options, std::size_t max_entries = 4096);
 
-  /// Candidate sets via one BFS per chain position (MecNetwork::
-  /// cloudlets_within) on a cache miss — the serial admit() path.
+  /// The instance core::build_bmcgap would return; a cache miss calls it.
   const BmcgapInstance& build(const mec::MecNetwork& network,
                               const mec::VnfCatalog& catalog,
                               const mec::SfcRequest& request,
                               const admission::PrimaryPlacement& primaries);
-
-  /// Candidate sets via the shard map's N_l^+ cache on a cache miss — the
-  /// batch/shard-worker path. Requires neighborhoods.l_hops() == l_hops.
-  const BmcgapInstance& build(const mec::MecNetwork& network,
-                              const mec::VnfCatalog& catalog,
-                              const mec::SfcRequest& request,
-                              const admission::PrimaryPlacement& primaries,
-                              const mec::ShardMap& neighborhoods);
 
   struct Stats {
     std::uint64_t misses = 0;    // fresh skeleton builds
@@ -97,12 +89,6 @@ class BmcgapArena {
     std::vector<std::uint32_t> gain_caps;
     std::uint64_t residual_epoch = 0;
   };
-
-  template <typename FreshFn>
-  const BmcgapInstance& build_impl(const mec::MecNetwork& network,
-                                   const mec::SfcRequest& request,
-                                   const admission::PrimaryPlacement& primaries,
-                                   const FreshFn& fresh);
 
   /// Recomputes the residual-dependent parts of a cached skeleton in place,
   /// reusing its allocations.

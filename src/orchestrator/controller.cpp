@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/faultpoint.h"
 
 namespace mecra::orchestrator {
 
@@ -110,8 +109,7 @@ double Controller::next_wakeup() const {
 }
 
 void Controller::attempt(ServiceId id, TrackedService& tracked, double now,
-                         ReconcileReport& report, ControllerMetrics& metrics,
-                         bool deferred_ids) {
+                         ReconcileReport& report) {
   const Service& svc = orch_.service(id);
   const double rho = svc.request.expectation;
   if (svc.state != ServiceState::kDown &&
@@ -121,21 +119,17 @@ void Controller::attempt(ServiceId id, TrackedService& tracked, double now,
     return;  // healthy; not an attempt
   }
 
-  ++metrics.reaugment_attempts;
+  ++metrics_.reaugment_attempts;
   ++report.attempts;
   if (svc.state == ServiceState::kDown && options_.revive_down_services) {
-    // kDown services never enter the sharded pass (revive scans the whole
-    // network for capacity), so this branch is always driver-thread-only.
-    MECRA_CHECK(!deferred_ids);
     if (orch_.revive(id)) {
-      ++metrics.revivals;
+      ++metrics_.revivals;
       ++report.revived;
     }
   }
   if (orch_.service(id).state != ServiceState::kDown) {
-    const std::size_t added =
-        deferred_ids ? orch_.reaugment_deferred(id) : orch_.reaugment(id);
-    metrics.standbys_added += added;
+    const std::size_t added = orch_.reaugment(id);
+    metrics_.standbys_added += added;
     report.standbys_added += added;
   }
 
@@ -143,12 +137,12 @@ void Controller::attempt(ServiceId id, TrackedService& tracked, double now,
   const bool met = after.state != ServiceState::kDown &&
                    after.current_reliability(orch_.catalog()) >= rho;
   if (met) {
-    ++metrics.reaugment_successes;
+    ++metrics_.reaugment_successes;
     tracked.dirty = false;
     tracked.backoff = 0.0;
     return;
   }
-  ++metrics.reaugment_failures;
+  ++metrics_.reaugment_failures;
   if (options_.policy == ReaugmentPolicy::kBackoff) {
     if (tracked.backoff == 0.0) {
       tracked.backoff = options_.backoff_initial;
@@ -161,112 +155,6 @@ void Controller::attempt(ServiceId id, TrackedService& tracked, double now,
       tracked.backoff *= options_.backoff_factor;
     }
     tracked.not_before = now + tracked.backoff;
-  }
-}
-
-void Controller::sharded_pass(
-    const std::vector<std::pair<ServiceId, TrackedService*>>& eligible,
-    double now, ReconcileReport& report) {
-  const std::size_t num_shards = orch_.shard_map().num_shards();
-  std::vector<std::vector<std::pair<ServiceId, TrackedService*>>> groups(
-      num_shards);
-  std::vector<std::pair<ServiceId, TrackedService*>> serial;
-  for (const auto& entry : eligible) {
-    std::optional<std::size_t> shard;
-    if (orch_.service(entry.first).state != ServiceState::kDown) {
-      shard = orch_.service_home_shard(entry.first);
-    }
-    if (shard.has_value()) {
-      groups[*shard].push_back(entry);
-    } else {
-      serial.push_back(entry);
-    }
-  }
-  std::vector<std::size_t> active;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    if (!groups[s].empty()) active.push_back(s);
-  }
-
-  // Per-group metrics/report locals keep worker writes disjoint; merged
-  // below in fixed group order, so totals are thread-count-independent.
-  std::vector<ControllerMetrics> local_metrics(active.size());
-  std::vector<ReconcileReport> local_reports(active.size());
-  std::vector<std::vector<std::pair<ServiceId, TrackedService*>>>
-      local_faulted(active.size());
-  auto run_group = [&](std::size_t k) {
-    obs::TraceSpan span("shard.reconcile");
-    span.attr("shard", static_cast<double>(active[k]));
-    span.attr("services", static_cast<double>(groups[active[k]].size()));
-    const auto& group = groups[active[k]];
-    for (std::size_t n = 0; n < group.size(); ++n) {
-      if (MECRA_FAULT_POINT("controller.shard_worker")) {
-        // Degrade: drain the rest of this group's queue to a serial retry
-        // after the workers join, instead of aborting the reconcile.
-        if (obs::enabled()) {
-          static obs::Counter& injected =
-              obs::MetricsRegistry::global().counter("fault.injected");
-          injected.add(1);
-        }
-        local_faulted[k].insert(
-            local_faulted[k].end(),
-            group.begin() + static_cast<std::ptrdiff_t>(n), group.end());
-        break;
-      }
-      try {
-        attempt(group[n].first, *group[n].second, now, local_reports[k],
-                local_metrics[k], /*deferred_ids=*/true);
-      } catch (...) {
-        // A partially applied attempt may have staged standbys with pending
-        // ids; the service stays in `touched`, so the post-join numbering
-        // pass still covers it before the serial retry.
-        local_faulted[k].push_back(group[n]);
-      }
-    }
-  };
-  util::ThreadPool* pool = orch_.batch_pool();
-  if (pool != nullptr && active.size() > 1) {
-    pool->parallel_for(active.size(), run_group);
-  } else {
-    for (std::size_t k = 0; k < active.size(); ++k) run_group(k);
-  }
-
-  // Serial post-join pass: number the staged standbys in ascending service
-  // id, reproducing the single-threaded id sequence.
-  std::vector<ServiceId> touched;
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    for (const auto& [id, tracked] : groups[active[k]]) touched.push_back(id);
-  }
-  std::sort(touched.begin(), touched.end());
-  for (ServiceId id : touched) orch_.assign_pending_instance_ids(id);
-
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    metrics_.repairs += local_metrics[k].repairs;
-    metrics_.reaugment_attempts += local_metrics[k].reaugment_attempts;
-    metrics_.reaugment_successes += local_metrics[k].reaugment_successes;
-    metrics_.reaugment_failures += local_metrics[k].reaugment_failures;
-    metrics_.standbys_added += local_metrics[k].standbys_added;
-    metrics_.revivals += local_metrics[k].revivals;
-    report.attempts += local_reports[k].attempts;
-    report.standbys_added += local_reports[k].standbys_added;
-    report.revived += local_reports[k].revived;
-  }
-
-  // Serial retry of drained/faulted services, in fixed group order.
-  for (std::size_t k = 0; k < active.size(); ++k) {
-    for (const auto& [id, tracked] : local_faulted[k]) {
-      ++report.degraded;
-      attempt(id, *tracked, now, report, metrics_, /*deferred_ids=*/false);
-    }
-  }
-  if (report.degraded > 0 && obs::enabled()) {
-    static obs::Counter& degraded_counter =
-        obs::MetricsRegistry::global().counter("reconcile.degraded");
-    degraded_counter.add(report.degraded);
-  }
-
-  // kDown and shard-straddling services: classic serial path.
-  for (const auto& [id, tracked] : serial) {
-    attempt(id, *tracked, now, report, metrics_, /*deferred_ids=*/false);
   }
 }
 
@@ -337,21 +225,13 @@ ReconcileReport Controller::reconcile(double now) {
   }
 
   // Eligible dirty services, ascending service id (map order).
-  std::vector<std::pair<ServiceId, TrackedService*>> eligible;
   for (auto& [id, tracked] : tracked_) {
     if (!tracked.dirty) continue;
     if (options_.policy == ReaugmentPolicy::kBackoff &&
         now < tracked.not_before) {
       continue;
     }
-    eligible.emplace_back(id, &tracked);
-  }
-  if (orch_.has_shard_map() && eligible.size() > 1) {
-    sharded_pass(eligible, now, report);
-  } else {
-    for (auto& [id, tracked] : eligible) {
-      attempt(id, *tracked, now, report, metrics_, /*deferred_ids=*/false);
-    }
+    attempt(id, tracked, now, report);
   }
   span.attr("attempts", static_cast<double>(report.attempts));
   span.attr("repaired", static_cast<double>(report.repaired.size()));

@@ -28,27 +28,19 @@
 // members may be called concurrently. Like the orchestrator it wraps, that
 // driver is the caller's thread in batch programs and the internal
 // pipeline thread of orchestrator::StreamingService in streaming ones —
-// the streaming service routes every on_admit/on_teardown/reconcile call
-// through its window-close path, so external code never calls the
-// controller directly while a stream is running. Internally, reconcile()
-// mirrors the orchestrator's sharded batch model: once the orchestrator
-// has a shard map (admit_batch has run), dirty services that are wholly
-// contained in one shard — every instance in the shard, no running active
-// on a border cloudlet — are topped up per shard on the orchestrator's
-// worker pool, while kDown and shard-straddling services take the serial
-// path after the workers join. Shard ownership makes the parallel top-ups
-// write-disjoint, and new standbys receive their instance ids in a serial
-// post-join pass (ascending service id), so results are bit-identical to
-// a single-threaded run. Whole simulations may still run in parallel, one
-// orchestrator + controller pair each. The obs counters reconcile() emits
-// (controller.*) are safe from any thread.
+// the streaming service routes every on_admit/on_teardown call through its
+// window-close path, so external code never calls the controller directly
+// while a stream is running. reconcile() has one path: it checks the
+// eligible dirty services in ascending service id, reviving and topping
+// up each in turn on the driver thread, whether or not admit_batch ever
+// ran. Whole simulations may still run in parallel, one orchestrator +
+// controller pair each. The obs counters reconcile() emits (controller.*)
+// are safe from any thread.
 //
 // Lock discipline: the controller deliberately owns NO mutex — its
 // tracking tables (tracked_, repair_queue_, metrics_) are driver-thread-
-// only, and the sharded pass shares them with workers exclusively through
-// per-worker copies merged serially after the join (see sharded_pass).
-// Anything that would make these fields cross-thread must move them onto
-// util::Mutex with MECRA_GUARDED_BY (util/thread_annotations.h) so the
+// only. Anything that would make these fields cross-thread must move them
+// onto util::Mutex with MECRA_GUARDED_BY (util/thread_annotations.h) so the
 // clang -Wthread-safety build enforces the new protocol.
 #pragma once
 
@@ -92,8 +84,6 @@ struct ReconcileReport {
   std::size_t attempts = 0;
   std::size_t standbys_added = 0;
   std::size_t revived = 0;
-  /// Services whose shard worker faulted and were retried serially.
-  std::size_t degraded = 0;
 };
 
 /// Snapshot of a Controller's mutable tracking state — serialized into
@@ -162,17 +152,10 @@ class Controller {
     double backoff = 0.0;    // current gate width; 0 = no failed attempt yet
   };
 
-  /// One service's health check + top-up. Writes into the given metrics
-  /// and report objects (thread-local copies during the sharded pass).
-  /// `deferred_ids` routes to reaugment_deferred (sharded pass only).
+  /// One service's health check + revive/top-up, counted into metrics_
+  /// and `report`.
   void attempt(ServiceId id, TrackedService& tracked, double now,
-               ReconcileReport& report, ControllerMetrics& metrics,
-               bool deferred_ids);
-  /// Sharded reaugmentation over the eligible dirty services (see the
-  /// file comment); falls back to serial for unconfinable services.
-  void sharded_pass(
-      const std::vector<std::pair<ServiceId, TrackedService*>>& eligible,
-      double now, ReconcileReport& report);
+               ReconcileReport& report);
 
   Orchestrator& orch_;
   ControllerOptions options_;

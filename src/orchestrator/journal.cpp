@@ -219,23 +219,9 @@ Durability Durability::parse(std::string_view text) {
   if (text == "per_window") {
     return per_window();
   }
-  constexpr std::string_view kBytesPrefix = "bytes:";
-  if (text.size() > kBytesPrefix.size() &&
-      text.substr(0, kBytesPrefix.size()) == kBytesPrefix) {
-    const std::string digits(text.substr(kBytesPrefix.size()));
-    const bool numeric =
-        !digits.empty() &&
-        digits.find_first_not_of("0123456789") == std::string::npos &&
-        digits.size() <= 15;
-    MECRA_CHECK_MSG(numeric, "durability: bad byte budget in '" +
-                                 std::string(text) + "'");
-    const unsigned long long budget = std::stoull(digits);
-    MECRA_CHECK_MSG(budget > 0, "durability: byte budget must be positive");
-    return bytes(static_cast<std::size_t>(budget));
-  }
-  MECRA_CHECK_MSG(false, "durability: expected per_record, per_window, or "
-                         "bytes:<N>, got '" +
-                             std::string(text) + "'");
+  MECRA_CHECK_MSG(false,
+                  "durability: expected per_record or per_window, got '" +
+                      std::string(text) + "'");
 }
 
 std::string Durability::to_string() const {
@@ -244,8 +230,6 @@ std::string Durability::to_string() const {
       return "per_record";
     case Policy::kPerGroup:
       return "per_window";
-    case Policy::kBytes:
-      return "bytes:" + std::to_string(byte_budget);
   }
   return "per_record";
 }
@@ -318,11 +302,6 @@ std::uint64_t Journal::append(std::string_view kind, double time,
   switch (durability_.policy) {
     case Durability::Policy::kPerRecord:
       flush_pending();
-      break;
-    case Durability::Policy::kBytes:
-      if (pending_.size() >= durability_.byte_budget) {
-        flush_pending();
-      }
       break;
     case Durability::Policy::kPerGroup:
       break;  // waits for an explicit flush()

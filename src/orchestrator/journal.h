@@ -45,8 +45,7 @@
 // kPerRecord (the default) every append is immediately written and flushed,
 // exactly the pre-group-commit behaviour. Under kPerGroup the caller marks
 // group boundaries with flush() — the streaming commit thread groups one
-// window per flush — and kBytes flushes whenever the pending buffer reaches
-// a byte budget. Frames are self-delimiting, so concatenating a group into
+// window per flush. Frames are self-delimiting, so concatenating a group into
 // one write produces bytes identical to writing each frame separately: the
 // on-disk format is the same under every policy, and scan_journal/recover
 // never know which one produced the file. What the policy trades away is
@@ -110,25 +109,18 @@ struct Durability {
   enum class Policy : std::uint8_t {
     kPerRecord,  // write+flush every append (historical default)
     kPerGroup,   // buffer until an explicit Journal::flush()
-    kBytes,      // buffer until >= byte_budget pending, then write+flush
   };
 
   Policy policy = Policy::kPerRecord;
-  /// Only meaningful under kBytes: flush once the pending buffer holds at
-  /// least this many bytes. An explicit flush() still works at any time.
-  std::size_t byte_budget = 0;
 
   [[nodiscard]] static Durability per_record() { return {}; }
   /// Group per caller-marked window: appends buffer until flush().
   [[nodiscard]] static Durability per_window() {
-    return {.policy = Policy::kPerGroup, .byte_budget = 0};
-  }
-  [[nodiscard]] static Durability bytes(std::size_t budget) {
-    return {.policy = Policy::kBytes, .byte_budget = budget};
+    return {.policy = Policy::kPerGroup};
   }
 
-  /// Parses "per_record", "per_window", or "bytes:<N>" (CLI flag syntax);
-  /// throws util::CheckFailure on anything else.
+  /// Parses "per_record" or "per_window" (CLI flag syntax); throws
+  /// util::CheckFailure on anything else.
   [[nodiscard]] static Durability parse(std::string_view text);
   [[nodiscard]] std::string to_string() const;
 };
@@ -175,8 +167,8 @@ class Journal {
   }
 
   /// Appends one framed record; the durability policy decides whether it
-  /// reaches the file now (kPerRecord / kBytes budget hit) or waits in the
-  /// pending group. Returns the record's sequence number, assigned eagerly.
+  /// reaches the file now (kPerRecord) or waits in the pending group
+  /// (kPerGroup). Returns the record's sequence number, assigned eagerly.
   std::uint64_t append(std::string_view kind, double time, io::Json data);
 
   /// Writes and flushes the pending group as one contiguous write. No-op

@@ -1,6 +1,5 @@
 #include "orchestrator/streaming.h"
 
-#include <algorithm>
 #include <cmath>
 #include <exception>
 #include <utility>
@@ -31,16 +30,12 @@ StreamingService::StreamingService(Orchestrator& orch,
       journal_(journal) {
   MECRA_CHECK_MSG(options_.window_width > 0.0,
                   "streaming: window_width must be positive");
-  latency_hist_ = &registry().histogram("stream.admit_latency_seconds");
-  shed_counter_ = &registry().counter("admit.shed");
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  latency_hist_ = &reg.histogram("stream.admit_latency_seconds");
+  shed_counter_ = &reg.counter("admit.shed");
 }
 
 StreamingService::~StreamingService() { stop(); }
-
-obs::MetricsRegistry& StreamingService::registry() const {
-  return options_.registry != nullptr ? *options_.registry
-                                      : obs::MetricsRegistry::global();
-}
 
 void StreamingService::start() {
   MECRA_CHECK_MSG(!started_.load(std::memory_order_acquire),
@@ -48,7 +43,7 @@ void StreamingService::start() {
   if (options_.snapshot_on_start) {
     MECRA_CHECK_MSG(controller_ != nullptr && journal_ != nullptr,
                     "streaming: snapshot_on_start needs controller+journal");
-    (void)journal_->snapshot(orch_, *controller_, options_.start_time);
+    (void)journal_->snapshot(orch_, *controller_, 0.0);
     // The start snapshot is the recovery anchor — make it durable before
     // accepting events, whatever the journal's group-commit policy.
     journal_->flush();
@@ -182,7 +177,9 @@ void StreamingService::record_failure(const std::string& what) {
     util::LockGuard lock(stats_mutex_);
     error_ = what;
   }
-  if (obs::enabled()) registry().counter("stream.failures").add(1);
+  if (obs::enabled()) {
+    obs::MetricsRegistry::global().counter("stream.failures").add(1);
+  }
 }
 
 void StreamingService::pipeline_loop() {
@@ -340,13 +337,6 @@ void StreamingService::close_window(Window& win, WindowTrigger trigger) {
                                   make_batch_record(orch_, admitted)});
       }
     }
-    if (options_.reconcile_each_window && controller_ != nullptr) {
-      (void)controller_->reconcile(w.close_time);
-      if (journal_ != nullptr) {
-        ticket.records.push_back({std::string(kJournalReconcile),
-                                  w.close_time, io::Json(io::JsonObject{})});
-      }
-    }
     if (journal_ != nullptr && controller_ != nullptr &&
         options_.snapshot_every_windows > 0 &&
         (w.seq + 1) % options_.snapshot_every_windows == 0) {
@@ -366,10 +356,8 @@ void StreamingService::close_window(Window& win, WindowTrigger trigger) {
   if (options_.on_decided) options_.on_decided(outcomes);
   if (commit_thread_.joinable()) {
     {
-      const std::size_t bound =
-          std::max<std::size_t>(1, options_.max_inflight_windows);
       util::LockGuard lock(inflight_mutex_);
-      while (windows_enqueued_ >= windows_committed_ + bound) {
+      while (windows_enqueued_ >= windows_committed_ + kMaxInflightWindows) {
         inflight_cv_.wait(inflight_mutex_);
       }
       ++windows_enqueued_;
@@ -412,7 +400,7 @@ void StreamingService::commit_ticket(CommitTicket& ticket) {
       latency_hist_->observe(
           std::chrono::duration<double>(now - enqueued_at).count());
     }
-    obs::MetricsRegistry& reg = registry();
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     reg.counter("stream.windows").add(1);
     reg.counter("stream.arrivals").add(rep.arrivals);
     reg.counter("stream.admitted").add(rep.admitted);
@@ -435,7 +423,7 @@ void StreamingService::commit_ticket(CommitTicket& ticket) {
       compliant_windows_ = 0;
       if (!shed_mode_.exchange(true, std::memory_order_relaxed) &&
           obs::enabled()) {
-        registry().counter("stream.slo_trips").add(1);
+        obs::MetricsRegistry::global().counter("stream.slo_trips").add(1);
       }
     } else if (shed_mode_.load(std::memory_order_relaxed) &&
                ++compliant_windows_ >= options_.slo_recover_windows) {
@@ -443,7 +431,7 @@ void StreamingService::commit_ticket(CommitTicket& ticket) {
       compliant_windows_ = 0;
     }
     if (obs::enabled()) {
-      registry().gauge("stream.shedding")
+      obs::MetricsRegistry::global().gauge("stream.shedding")
           .set(shed_mode_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
     }
   }

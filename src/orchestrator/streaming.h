@@ -35,8 +35,8 @@
 // admission outcomes, service/instance ids, and journal bytes are
 // BIT-IDENTICAL to pipelined_commit=false, and (via admit_batch's salted
 // per-request streams) to any BatchOptions::threads value. Windows commit
-// strictly in order; max_inflight_windows bounds how far admission may run
-// ahead of durability.
+// strictly in order; StreamingService::kMaxInflightWindows bounds how far
+// admission may run ahead of durability.
 //
 // Determinism contract. With shedding disabled (max_queue_depth == 0,
 // slo_p99_seconds == 0) a fixed seed + fixed window schedule (same events
@@ -58,9 +58,10 @@
 //     shed mode (arrivals refused at submit), and slo_recover_windows
 //     consecutive compliant windows leave it. Departures and re-admission
 //     events are NEVER shed: capacity release must not be lost.
-// The service is the delta-chain consumer: per-window deltas are forwarded
-// in WindowReport::obs_delta, and nothing else in the process may call
-// delta_snapshot() on the same registry while a stream runs. With
+// The service instruments the global registry and is its delta-chain
+// consumer: per-window deltas are forwarded in WindowReport::obs_delta,
+// and nothing else in the process may call delta_snapshot() while a
+// stream runs. With
 // observability disabled (MECRA_OBS=OFF or runtime kill switch) the
 // latency histogram is inert, so SLO shedding never triggers.
 //
@@ -225,9 +226,6 @@ struct StreamingOptions {
   double slo_p99_seconds = 0.0;
   /// Consecutive compliant windows required to leave shed mode.
   std::size_t slo_recover_windows = 2;
-  /// Bound on windows admitted but not yet committed (>= 1). The pipeline
-  /// thread blocks at window close when the commit thread lags this far.
-  std::size_t max_inflight_windows = 4;
   /// Run the serial commit on its own thread (the epoch pipeline). False
   /// commits inline on the pipeline thread — same bytes, no overlap.
   bool pipelined_commit = true;
@@ -240,18 +238,10 @@ struct StreamingOptions {
   /// Append a snapshot record every N windows (0 = never). Requires a
   /// controller; snapshots are what recover() resumes from.
   std::size_t snapshot_every_windows = 0;
-  /// Append one snapshot record from start(), at time `start_time`,
-  /// before any event is processed (gives a fresh journal its recovery
-  /// anchor). Requires a controller.
+  /// Append one snapshot record from start(), at event time 0, before any
+  /// event is processed (gives a fresh journal its recovery anchor).
+  /// Requires a controller.
   bool snapshot_on_start = false;
-  /// Event time of the initial snapshot (see snapshot_on_start).
-  double start_time = 0.0;
-  /// Run Controller::reconcile at every window close (journaled as a
-  /// reconcile mark so replay repeats it).
-  bool reconcile_each_window = false;
-  /// Metrics registry to instrument (nullptr = the global registry). The
-  /// service owns the registry's delta_snapshot() chain while running.
-  obs::MetricsRegistry* registry = nullptr;
   /// Pipeline-thread callback: every window's decisions, in window order.
   std::function<void(const std::vector<StreamOutcome>&)> on_decided;
   /// Commit-thread callback: every window's report, after durability.
@@ -266,6 +256,10 @@ struct StreamingOptions {
 /// and stop().
 class StreamingService {
  public:
+  /// Windows admitted but not yet committed; the pipeline thread blocks at
+  /// window close when the commit thread lags this far.
+  static constexpr std::size_t kMaxInflightWindows = 4;
+
   StreamingService(Orchestrator& orch, StreamingOptions options,
                    Controller* controller = nullptr,
                    Journal* journal = nullptr);
@@ -369,7 +363,6 @@ class StreamingService {
     std::vector<std::chrono::steady_clock::time_point> enqueued;
   };
 
-  [[nodiscard]] obs::MetricsRegistry& registry() const;
   SubmitStatus submit_event(StreamEvent ev);
   void pipeline_loop();
   void commit_loop();
@@ -426,7 +419,7 @@ class StreamingService {
   std::uint64_t flushes_processed_ MECRA_GUARDED_BY(flush_mutex_) = 0;
 
   /// Guards the admitted-vs-committed window counters that implement the
-  /// max_inflight_windows bound.
+  /// kMaxInflightWindows bound.
   util::Mutex inflight_mutex_;
   util::CondVar inflight_cv_;
   std::uint64_t windows_enqueued_ MECRA_GUARDED_BY(inflight_mutex_) = 0;

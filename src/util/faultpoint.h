@@ -18,7 +18,6 @@
 //
 // Sites wired in this repo (see ARCHITECTURE.md "Failure domains"):
 //   orchestrator.shard_worker  admit_batch worker faults before staging
-//   controller.shard_worker    sharded reconcile attempt faults
 //   journal.torn_write         Journal::append writes a truncated frame
 //   fallback.deadline          FallbackAugmenter treats the deadline as blown
 //   fallback.tier_error        a fallback tier throws instead of answering

@@ -83,9 +83,7 @@ WorldSnap snapshot(const orchestrator::Orchestrator& orch) {
 
 TEST(ShardMap, PartitionAndInteriorInvariants) {
   const sim::Scenario s = big_scenario(7, 120, 0.6);
-  mec::ShardMapOptions opt;
-  opt.l_hops = 1;
-  const mec::ShardMap map = mec::ShardMap::build(s.network, opt);
+  const mec::ShardMap map = mec::ShardMap::build(s.network, 1);
   ASSERT_GE(map.num_shards(), 1u);
 
   // Every cloudlet belongs to exactly one shard's list.
@@ -101,16 +99,15 @@ TEST(ShardMap, PartitionAndInteriorInvariants) {
 
   std::size_t interiors = 0;
   for (const graph::NodeId v : s.network.cloudlets()) {
-    // The cache must reproduce the BFS it replaces, byte for byte.
-    EXPECT_EQ(map.neighborhood(v), s.network.cloudlets_within(v, opt.l_hops));
-    if (map.is_interior(v)) {
-      ++interiors;
-      // THE invariant concurrent admission rests on: an interior
-      // cloudlet's whole backup neighbourhood stays in its own shard.
-      for (const graph::NodeId u : map.neighborhood(v)) {
-        EXPECT_EQ(map.shard_of(u), map.shard_of(v));
-      }
+    // THE invariant concurrent admission rests on: a cloudlet is interior
+    // exactly when its whole backup neighbourhood N_l^+(v) — the ball
+    // admission and reaugment read — stays in its own shard.
+    bool contained = true;
+    for (const graph::NodeId u : s.network.cloudlets_within(v, 1)) {
+      contained = contained && map.shard_of(u) == map.shard_of(v);
     }
+    EXPECT_EQ(map.is_interior(v), contained) << "cloudlet " << v;
+    if (map.is_interior(v)) ++interiors;
   }
   EXPECT_EQ(map.border_count() + interiors, s.network.cloudlets().size());
   for (graph::NodeId v = 0; v < s.network.num_nodes(); ++v) {
@@ -226,11 +223,10 @@ TEST(AdmitBatch, ModelArenaHitsRefreshesAndMatchesFreshBuilds) {
       refreshed, core::build_bmcgap(network, s.catalog, requests[0],
                                     *primaries, {.l_hops = 1}));
 
-  // The shard-map overload the batch path uses, over a sequence of builds
-  // on a draining network: the first round admits every request (a miss
-  // each), later rounds drain capacity before every rebuild (a refresh
-  // each), and every instance matches a fresh shard-map build.
-  const mec::ShardMap map = mec::ShardMap::build(network, {.l_hops = 1});
+  // A sequence of builds on a draining network, as the batch path makes
+  // them: the first round admits every request (a miss each), later rounds
+  // drain capacity before every rebuild (a refresh each), and every
+  // instance matches a fresh build.
   core::BmcgapArena batch_arena({.l_hops = 1});
   const auto drain = make_requests(s, 8, 0.9, 321);
   std::vector<admission::PrimaryPlacement> placed(drain.size());
@@ -247,9 +243,9 @@ TEST(AdmitBatch, ModelArenaHitsRefreshesAndMatchesFreshBuilds) {
         network.consume(v, network.residual(v) / 4.0);
       }
       expect_same_instance(
-          batch_arena.build(network, s.catalog, drain[i], placed[i], map),
+          batch_arena.build(network, s.catalog, drain[i], placed[i]),
           core::build_bmcgap(network, s.catalog, drain[i], placed[i],
-                             {.l_hops = 1}, map));
+                             {.l_hops = 1}));
     }
   }
   EXPECT_EQ(batch_arena.stats().misses, drain.size());

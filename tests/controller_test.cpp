@@ -1,13 +1,16 @@
 // Tests for the self-healing controller: reactive top-ups, MTTR repair
-// scheduling, periodic batching, exponential backoff, and revival of DOWN
-// services through reconcile().
+// scheduling, periodic batching, exponential backoff, revival of DOWN
+// services through reconcile(), and reconcile's one serial path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <tuple>
+#include <vector>
 
 #include "graph/topology.h"
 #include "orchestrator/controller.h"
+#include "sim/workload.h"
 #include "util/check.h"
 
 namespace mecra::orchestrator {
@@ -279,6 +282,103 @@ TEST(Controller, NonFiniteTimingOptionsAreRejected) {
   bad = {};
   bad.backoff_factor = nan;
   EXPECT_THROW(Controller(orch, bad), util::CheckFailure);
+}
+
+TEST(Controller, ReconcileAfterAdmitBatchIsRevivePlusReaugmentInIdOrder) {
+  // reconcile() has one path whether or not admit_batch built a shard map:
+  // after a batch and instance failures, one reconcile leaves the same
+  // services and residuals as revive/reaugment applied by hand to the
+  // dirty services in ascending service id.
+  sim::ScenarioParams params;
+  params.num_aps = 400;
+  params.request.chain_length_low = 4;
+  params.request.chain_length_high = 4;
+  params.residual_fraction = 0.8;
+  util::Rng world_rng(13);
+  auto scenario = sim::make_scenario(params, world_rng);
+  ASSERT_TRUE(scenario.has_value());
+  const mec::VnfCatalog& catalog = scenario->catalog;
+  mec::RequestParams rp;
+  rp.chain_length_low = 3;
+  rp.chain_length_high = 5;
+  rp.expectation = 0.95;
+  util::Rng request_rng(23);
+  std::vector<mec::SfcRequest> requests;
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    requests.push_back(mec::random_request(
+        i, catalog, scenario->network.num_nodes(), rp, request_rng));
+  }
+
+  OrchestratorOptions options;
+  options.batch.threads = 4;
+  Orchestrator live(scenario->network, catalog, options);
+  Orchestrator by_hand(scenario->network, catalog, options);
+  Controller controller(live);
+  util::Rng live_rng(7);
+  util::Rng hand_rng(7);
+  const auto ids = live.admit_batch(requests, live_rng);
+  ASSERT_EQ(by_hand.admit_batch(requests, hand_rng), ids);
+  ASSERT_TRUE(live.has_shard_map());
+
+  // Every third service loses all of chain position 0 (kDown, so reconcile
+  // revives it); every other even one loses one standby. The batch leaves
+  // enough capacity free for the top-ups to place standbys.
+  std::vector<ServiceId> admitted;
+  for (const auto& id : ids) {
+    if (id.has_value()) admitted.push_back(*id);
+  }
+  ASSERT_GT(admitted.size(), 10u);
+  for (std::size_t k = 0; k < admitted.size(); ++k) {
+    const ServiceId id = admitted[k];
+    controller.on_admit(id, 0.0);
+    std::vector<InstanceId> victims;
+    for (const Instance& inst : live.service(id).instances) {
+      if (k % 3 == 0 && inst.chain_pos == 0) victims.push_back(inst.id);
+      if (k % 3 != 0 && k % 2 == 0 && inst.role == InstanceRole::kStandby &&
+          victims.empty()) {
+        victims.push_back(inst.id);
+      }
+    }
+    for (const InstanceId victim : victims) {
+      (void)live.fail_instance(id, victim);
+      (void)by_hand.fail_instance(id, victim);
+    }
+    controller.on_instance_failed(id, 1.0);
+  }
+
+  const ReconcileReport report = controller.reconcile(1.0);
+  for (const ServiceId id : admitted) {  // ascending service id
+    const Service& svc = by_hand.service(id);
+    if (svc.state != ServiceState::kDown &&
+        svc.current_reliability(catalog) >= svc.request.expectation) {
+      continue;
+    }
+    if (svc.state == ServiceState::kDown) (void)by_hand.revive(id);
+    if (by_hand.service(id).state != ServiceState::kDown) {
+      (void)by_hand.reaugment(id);
+    }
+  }
+  EXPECT_GT(report.revived, 0u);
+  EXPECT_GT(report.standbys_added, 0u);
+
+  using Snap = std::tuple<ServiceId, InstanceId, std::uint32_t, graph::NodeId,
+                          InstanceRole, InstanceState, ServiceState>;
+  const auto snapshot = [](const Orchestrator& orch) {
+    std::vector<Snap> snap;
+    for (const ServiceId id : orch.services()) {
+      const Service& svc = orch.service(id);
+      for (const Instance& inst : svc.instances) {
+        snap.emplace_back(id, inst.id, inst.chain_pos, inst.cloudlet,
+                          inst.role, inst.state, svc.state);
+      }
+    }
+    return snap;
+  };
+  EXPECT_EQ(snapshot(live), snapshot(by_hand));
+  for (graph::NodeId v = 0; v < live.network().num_nodes(); ++v) {
+    ASSERT_EQ(live.network().residual(v), by_hand.network().residual(v))
+        << "node " << v;
+  }
 }
 
 }  // namespace

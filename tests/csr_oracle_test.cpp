@@ -296,26 +296,30 @@ TEST(MecGlue, CloudletsWithinMatchesBfsFilter) {
   }
 }
 
-TEST(MecGlue, ShardMapNeighborhoodCacheMatchesBfs) {
+TEST(MecGlue, ShardMapInteriorMatchesBfs) {
+  // The shard map classifies interior cloudlets from the oracle's l-hop
+  // balls; the classification must equal one derived from plain BFS.
   util::Rng rng(17);
   GeneratedTopology topo = transit_stub({}, rng);
   std::vector<double> capacity(topo.graph.num_nodes(), 0.0);
   for (NodeId v = 1; v < topo.graph.num_nodes(); v += 2) capacity[v] = 50.0;
   const Graph legacy = topo.graph;
   mec::MecNetwork network(std::move(topo.graph), std::move(capacity));
-  mec::ShardMapOptions options;
-  options.l_hops = 2;
-  const mec::ShardMap map = mec::ShardMap::build(network, options);
+  constexpr std::uint32_t kHops = 2;
+  const mec::ShardMap map = mec::ShardMap::build(network, kHops);
+  std::size_t interiors = 0;
   for (NodeId v : network.cloudlets()) {
     const auto hops = bfs_hops(legacy, v);
-    std::vector<NodeId> want;
+    bool contained = true;
     for (NodeId u : network.cloudlets()) {
-      if (hops[u] != kUnreachable && hops[u] <= options.l_hops) {
-        want.push_back(u);
+      if (hops[u] != kUnreachable && hops[u] <= kHops) {
+        contained = contained && map.shard_of(u) == map.shard_of(v);
       }
     }
-    ASSERT_EQ(map.neighborhood(v), want);
+    ASSERT_EQ(map.is_interior(v), contained) << "cloudlet " << v;
+    if (contained) ++interiors;
   }
+  EXPECT_EQ(map.border_count() + interiors, network.cloudlets().size());
 }
 
 }  // namespace

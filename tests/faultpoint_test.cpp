@@ -1,8 +1,8 @@
 // Tests for the deterministic fault-injection registry (util/faultpoint.h)
 // and the graceful-degradation paths wired to its sites: a faulted
-// admit_batch shard worker drains to the serial fallback pass, a faulted
-// sharded-reconcile worker retries serially, and a throwing/deadline-blown
-// fallback tier falls through the chain instead of killing the call.
+// admit_batch shard worker drains to the serial fallback pass, and a
+// throwing/deadline-blown fallback tier falls through the chain instead of
+// killing the call.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -12,7 +12,6 @@
 #include "core/fallback.h"
 #include "core/greedy_baseline.h"
 #include "core/heuristic_matching.h"
-#include "orchestrator/controller.h"
 #include "orchestrator/orchestrator.h"
 #include "sim/workload.h"
 #include "test_fixtures.h"
@@ -156,7 +155,7 @@ TEST_F(FaultPointTest, InjectedDeadlineSkipsStraightToTheLastTier) {
   EXPECT_EQ(chain.stats()[1].served, 1u);
 }
 
-// --- sharded engines degrade instead of aborting --------------------------
+// --- the sharded batch engine degrades instead of aborting ----------------
 
 sim::Scenario batch_scenario(std::uint64_t seed) {
   sim::ScenarioParams params;
@@ -225,45 +224,51 @@ TEST_F(FaultPointTest, FaultedShardWorkerDrainsToSerialFallback) {
   EXPECT_NEAR(orch.network().total_residual(), pristine, 1e-6);
 }
 
-TEST_F(FaultPointTest, FaultedReconcileWorkerRetriesServicesSerially) {
-  const sim::Scenario s = batch_scenario(13);
+TEST_F(FaultPointTest, FullyFaultedShardPhaseLeavesABatchOfAdmitCalls) {
+  // With every shard worker faulted, admit_batch decides the whole batch in
+  // its border pass, which is admit() itself: ids, placements and residuals
+  // equal a loop of admit() calls, request i on the border pass's stream
+  // derive_seed(derive_seed(salt, 0x0fa11bac), i) where `salt` is the
+  // batch's one draw from the caller's RNG (orchestrator.cpp).
+  const sim::Scenario s = batch_scenario(17);
+  const auto requests = batch_requests(s, 30, 29);
   orchestrator::OrchestratorOptions options;
-  options.batch.threads = 4;
-  orchestrator::Orchestrator orch(s.network, s.catalog, options);
-  orchestrator::Controller controller(orch);
-  const auto requests = batch_requests(s, 40, 23);
-  util::Rng rng(7);
-  const auto ids = orch.admit_batch(requests, rng);
-  std::vector<orchestrator::ServiceId> admitted;
-  for (const auto& id : ids) {
-    if (id.has_value()) {
-      controller.on_admit(*id, 0.0);
-      admitted.push_back(*id);
-    }
-  }
-  ASSERT_GT(admitted.size(), 1u);
-  // Dirty every service so the sharded reconcile pass has work.
-  for (const orchestrator::ServiceId id : admitted) {
-    controller.on_instance_failed(id, 1.0);
-  }
+  options.batch.threads = 2;
+  orchestrator::Orchestrator batched(s.network, s.catalog, options);
+  orchestrator::Orchestrator serial(s.network, s.catalog, options);
 
-  FaultRegistry::global().arm("controller.shard_worker",
-                              FaultSpec{.times = 1});
-  orchestrator::ReconcileReport report;
-  ASSERT_NO_THROW(report = controller.reconcile(1.0));
-  EXPECT_EQ(FaultRegistry::global().fired("controller.shard_worker"), 1u);
-  // The faulted group's services were retried on the serial path ...
-  EXPECT_GE(report.degraded, 1u);
-  // ... so nobody was dropped: every healthy service got its health check
-  // and was wiped clean (a skipped service would still be dirty).
-  for (const auto& entry : controller.state().tracked) {
-    const orchestrator::Service& svc = orch.service(entry.service);
-    const bool healthy =
-        svc.state != orchestrator::ServiceState::kDown &&
-        svc.current_reliability(orch.catalog()) >= svc.request.expectation;
-    if (healthy) {
-      EXPECT_FALSE(entry.dirty) << "service " << entry.service;
+  FaultRegistry::global().arm("orchestrator.shard_worker", FaultSpec{});
+  util::Rng batch_rng(5);
+  const auto ids = batched.admit_batch(requests, batch_rng);
+  const orchestrator::BatchAudit& audit = batched.last_batch_audit();
+  EXPECT_EQ(audit.parallel_admitted, 0u);
+  EXPECT_EQ(audit.degraded, requests.size());
+
+  util::Rng salt_rng(5);
+  const std::uint64_t border_salt =
+      util::derive_seed(salt_rng(), 0x0fa11bacULL);
+  std::size_t admitted = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    util::Rng rng(util::derive_seed(border_salt, i));
+    const auto id = serial.admit(requests[i], rng);
+    ASSERT_EQ(id, ids[i]) << "request " << i;
+    if (!id.has_value()) continue;
+    ++admitted;
+    const auto& got = batched.service(*id).instances;
+    const auto& want = serial.service(*id).instances;
+    ASSERT_EQ(got.size(), want.size()) << "request " << i;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].id, want[k].id);
+      EXPECT_EQ(got[k].chain_pos, want[k].chain_pos);
+      EXPECT_EQ(got[k].cloudlet, want[k].cloudlet);
+      EXPECT_EQ(got[k].role, want[k].role);
     }
+  }
+  EXPECT_GT(admitted, 0u);
+  EXPECT_EQ(batched.next_instance_id(), serial.next_instance_id());
+  for (graph::NodeId v = 0; v < s.network.num_nodes(); ++v) {
+    ASSERT_EQ(batched.network().residual(v), serial.network().residual(v))
+        << "node " << v;
   }
 }
 

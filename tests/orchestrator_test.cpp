@@ -1,13 +1,21 @@
-// Tests for the failover orchestrator: admission lifecycle, promotion on
-// failure, cloudlet outages, repair-time capacity reclamation,
-// re-augmentation, and teardown conservation.
+// Tests for the failover orchestrator: admission lifecycle and its kernel
+// call sequence, promotion on failure, cloudlet outages, repair-time
+// capacity reclamation, re-augmentation, and teardown conservation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <utility>
+#include <vector>
 
+#include "admission/admission.h"
+#include "core/augmentation.h"
+#include "core/bmcgap_arena.h"
+#include "core/heuristic_matching.h"
+#include "core/validator.h"
 #include "graph/topology.h"
 #include "orchestrator/orchestrator.h"
+#include "sim/workload.h"
 
 namespace mecra::orchestrator {
 namespace {
@@ -386,6 +394,86 @@ TEST(Orchestrator, AdmitNeverPlacesOnDownCloudlets) {
   }
   // The down cloudlet's capacity is untouched.
   EXPECT_DOUBLE_EQ(orch.network().residual(2), 3000.0);
+}
+
+TEST(Orchestrator, AdmitIsTheKernelCallSequence) {
+  // admit() is exactly random_admission -> BmcgapArena::build ->
+  // augment_heuristic -> validate -> apply_placements on the caller's RNG,
+  // primaries first, then the standbys in placement order; teardown
+  // releases every instance in instance order. A replay of those calls
+  // over a copy of the network must reproduce every decision, instance
+  // cloudlet and final residual bit for bit.
+  sim::ScenarioParams params;
+  params.num_aps = 400;
+  params.residual_fraction = 0.3;
+  util::Rng world_rng(400);
+  auto scenario = sim::make_scenario(params, world_rng);
+  ASSERT_TRUE(scenario.has_value());
+  const mec::VnfCatalog& catalog = scenario->catalog;
+  Orchestrator orch(scenario->network, catalog, {});
+  mec::MecNetwork replay = scenario->network;
+  core::BmcgapArena arena({.l_hops = 1});
+
+  mec::RequestParams rp;
+  rp.chain_length_low = 3;
+  rp.chain_length_high = 6;
+  rp.expectation = 0.99;
+  util::Rng trace_rng(8);
+  util::Rng orch_rng(7);
+  util::Rng replay_rng(7);
+  using Placed = std::vector<std::pair<std::uint32_t, graph::NodeId>>;
+  std::vector<std::pair<ServiceId, Placed>> live;
+  std::size_t admitted = 0;
+  std::size_t rejected = 0;
+  for (std::uint64_t step = 0; step < 400; ++step) {
+    if (!live.empty() && trace_rng.uniform01() < 0.3) {
+      const std::size_t k = trace_rng.index(live.size());
+      const auto& [id, placed] = live[k];
+      const mec::SfcRequest& request = orch.service(id).request;
+      for (const auto& [pos, v] : placed) {
+        replay.release(v, catalog.function(request.chain[pos]).cpu_demand);
+      }
+      orch.teardown(id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      continue;
+    }
+    const mec::SfcRequest request = mec::random_request(
+        step, catalog, replay.num_nodes(), rp, trace_rng);
+    const auto id = orch.admit(request, orch_rng);
+    const auto primaries =
+        admission::random_admission(replay, catalog, request, replay_rng);
+    ASSERT_EQ(id.has_value(), primaries.has_value()) << "step " << step;
+    if (!primaries.has_value()) {
+      ++rejected;
+      continue;
+    }
+    ++admitted;
+    const core::BmcgapInstance& instance =
+        arena.build(replay, catalog, request, *primaries);
+    const core::AugmentationResult result =
+        core::augment_heuristic(instance, core::AugmentOptions{});
+    ASSERT_TRUE(core::validate(instance, result).feasible);
+    core::apply_placements(replay, instance, result);
+
+    Placed want;
+    for (std::uint32_t p = 0; p < request.length(); ++p) {
+      want.emplace_back(p, primaries->cloudlet_of[p]);
+    }
+    for (const core::SecondaryPlacement& sp : result.placements) {
+      want.emplace_back(sp.chain_pos, sp.cloudlet);
+    }
+    Placed got;
+    for (const Instance& inst : orch.service(*id).instances) {
+      got.emplace_back(inst.chain_pos, inst.cloudlet);
+    }
+    ASSERT_EQ(got, want) << "step " << step;
+    live.emplace_back(*id, std::move(want));
+  }
+  EXPECT_GT(admitted, 50u);
+  EXPECT_GT(rejected, 0u) << "trace never exercised the reject path";
+  for (graph::NodeId v = 0; v < replay.num_nodes(); ++v) {
+    ASSERT_EQ(orch.network().residual(v), replay.residual(v)) << "node " << v;
+  }
 }
 
 }  // namespace

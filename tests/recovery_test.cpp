@@ -122,33 +122,6 @@ TEST(Recovery, CrashRestartsSurviveBatchedAdmissionToo) {
   expect_equivalent(baseline, crashed);
 }
 
-TEST(Recovery, GroupedJournalCrashDrillsStayBitIdentical) {
-  // Group commit on the per-event loop: a bytes(N) budget batches the
-  // event appends into multi-record physical writes, yet the crash drills
-  // and the final journal bytes must be indistinguishable from the
-  // historical flush-per-event run — closing the journal before each
-  // recovery flushes the pending group, exactly like an uninterrupted file.
-  const auto network = small_network(42);
-  const auto catalog = small_catalog(42);
-  SimConfig per_record = small_config();
-  per_record.journal_path = temp_path("recovery_grouped_base.journal");
-  per_record.snapshot_period = 7.0;
-  per_record.crash_times = {6.0, 14.0, 22.0};
-  const SimReport baseline = simulate(network, catalog, per_record, 7);
-
-  SimConfig grouped = per_record;
-  grouped.journal_path = temp_path("recovery_grouped.journal");
-  grouped.durability = orchestrator::Durability::bytes(2048);
-  const SimReport crashed = simulate(network, catalog, grouped, 7);
-
-  EXPECT_EQ(crashed.crash_restarts, 3u);
-  EXPECT_EQ(crashed.journal_records,
-            baseline.journal_records);
-  expect_equivalent(baseline, crashed);
-  EXPECT_EQ(file_bytes(grouped.journal_path),
-            file_bytes(per_record.journal_path));
-}
-
 TEST(Recovery, PooledWindowGroupsCrashDrillsStayBitIdentical) {
   // Pooled admission with one journal group per window: crash drills
   // between windows reproduce the per-record run's trace and file bytes.

@@ -122,7 +122,7 @@ TEST(Streaming, BitIdenticalAcrossThreadCountsAndPipelining) {
   const std::vector<Variant> variants = {
       {1, false, Durability::per_record(), "stream_det_t1_inline.journal"},
       {1, true, Durability::per_window(), "stream_det_t1_pipe.journal"},
-      {2, true, Durability::bytes(4096), "stream_det_t2_pipe.journal"},
+      {2, true, Durability::per_window(), "stream_det_t2_pipe.journal"},
       {4, true, Durability::per_window(), "stream_det_t4_pipe.journal"},
   };
   std::vector<sim::SimReport> metrics;
