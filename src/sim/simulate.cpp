@@ -38,6 +38,7 @@ enum Stream : std::uint64_t {
   kAdmitStream = 14,
   kInstanceFailureStream = 15,
   kOutageStream = 16,
+  kWindowStream = 17,
 };
 
 /// Peak arrival rate of the profile (the thinning envelope).
@@ -315,6 +316,8 @@ SimReport simulate(const mec::MecNetwork& network,
       next_poisson(ifail_rng, config.instance_failure_rate, 0.0);
   double next_outage =
       next_poisson(outage_rng, config.cloudlet_outage_rate, 0.0);
+  // Base of the windowed modes' per-window admission streams.
+  const std::uint64_t window_seed = util::derive_seed(seed, kWindowStream);
   std::uint64_t admission_windows = 0;
   // Lifecycle events of the windowed modes run to the last window's close.
   const double end = windowed ? grid_end(config) : config.horizon;
@@ -345,7 +348,7 @@ SimReport simulate(const mec::MecNetwork& network,
     orchestrator::StreamingOptions sopt;
     sopt.window_width = config.window_width;
     sopt.pipelined_commit = config.pipelined_commit;
-    sopt.seed = seed;
+    sopt.seed = window_seed;
     if (config.snapshot_period > 0.0) {
       sopt.snapshot_every_windows = std::max<std::size_t>(
           1, static_cast<std::size_t>(
@@ -524,7 +527,7 @@ SimReport simulate(const mec::MecNetwork& network,
       end_incarnation(e, t);
     }
     if (!requests.empty()) {
-      util::Rng rng(util::derive_seed(seed, admission_windows++));
+      util::Rng rng(util::derive_seed(window_seed, admission_windows++));
       const util::Timer call;
       const auto ids = orch->admit_batch(requests, rng);
       call_seconds.push_back(call.elapsed_seconds());

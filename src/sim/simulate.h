@@ -24,13 +24,16 @@
 //                  [k*W, (k+1)*W) (W = window_width); at a window's close,
 //                  its departures and re-admit teardowns apply first, in
 //                  event order, then ONE admit_batch over its arrivals and
-//                  re-admits, in event order, seeded derive_seed(seed, n)
-//                  for the n-th window that admitted anything. Capacity a
-//                  departure frees is held until its window closes;
+//                  re-admits, in event order, seeded
+//                  derive_seed(derive_seed(seed, 17), n) for the n-th
+//                  window that admitted anything — the windows' own base,
+//                  so no window reuses another stream of the seed.
+//                  Capacity a departure frees is held until its window
+//                  closes;
 //   * kStreaming — orchestrator::StreamingService itself, driven in
-//                  lockstep over the same windows: submit a window's
-//                  events, flush at its close, wait for its admission
-//                  stage. Decides bit-identically to kPooled at any thread
+//                  lockstep over the same windows (StreamingOptions::seed
+//                  = derive_seed(seed, 17)): submit a window's events,
+//                  flush at its close, wait for its admission stage. Decides bit-identically to kPooled at any thread
 //                  count and with pipelined commit on or off (asserted in
 //                  tests/simulate_test.cpp).
 //
