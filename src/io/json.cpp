@@ -9,24 +9,31 @@ namespace mecra::io {
 
 // ------------------------------------------------------------- JsonObject
 
-void JsonObject::set(const std::string& key, Json value) {
-  auto it = values_.find(key);
-  if (it == values_.end()) {
-    keys_.push_back(key);
-    values_.emplace(key, std::make_unique<Json>(std::move(value)));
-  } else {
-    *it->second = std::move(value);
+std::size_t JsonObject::find(std::string_view key) const {
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] == key) return i;
   }
+  return keys_.size();
 }
 
-bool JsonObject::contains(const std::string& key) const {
-  return values_.count(key) != 0;
+void JsonObject::set(std::string key, Json value) {
+  const std::size_t i = find(key);
+  if (i < keys_.size()) {
+    values_[i] = std::move(value);
+    return;
+  }
+  keys_.push_back(std::move(key));
+  values_.push_back(std::move(value));
 }
 
-const Json& JsonObject::at(const std::string& key) const {
-  auto it = values_.find(key);
-  MECRA_CHECK_MSG(it != values_.end(), "missing JSON key: " + key);
-  return *it->second;
+bool JsonObject::contains(std::string_view key) const {
+  return find(key) < keys_.size();
+}
+
+const Json& JsonObject::at(std::string_view key) const {
+  const std::size_t i = find(key);
+  MECRA_CHECK_MSG(i < keys_.size(), "missing JSON key: " + std::string(key));
+  return values_[i];
 }
 
 // ------------------------------------------------------------------ dump
@@ -135,14 +142,12 @@ struct Dumper {
         return;
       }
       out += '{';
-      bool first = true;
-      for (const auto& key : obj.keys()) {
-        if (!first) out += ',';
-        first = false;
+      for (std::size_t i = 0; i < obj.size(); ++i) {
+        if (i != 0) out += ',';
         newline(depth + 1);
-        append_escaped(out, key);
+        append_escaped(out, obj.keys()[i]);
         out += indent < 0 ? ":" : ": ";
-        dump(obj.at(key), depth + 1);
+        dump(obj.values()[i], depth + 1);
       }
       newline(depth);
       out += '}';
@@ -178,7 +183,7 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse() {
     Json v = value();
@@ -340,7 +345,7 @@ class Parser {
       std::string key = string();
       skip_ws();
       expect(take() == ':', "expected ':' after object key");
-      out.set(key, value());
+      out.set(std::move(key), value());
       skip_ws();
       const char ch = take();
       if (ch == '}') return Json(std::move(out));
@@ -348,12 +353,12 @@ class Parser {
     }
   }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-Json Json::parse(const std::string& text) { return Parser(text).parse(); }
+Json Json::parse(std::string_view text) { return Parser(text).parse(); }
 
 }  // namespace mecra::io

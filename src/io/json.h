@@ -7,8 +7,6 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -23,22 +21,38 @@ class Json;
 using JsonArray = std::vector<Json>;
 
 /// Object preserving insertion order (deterministic serialization).
+///
+/// Members live in two parallel vectors in insertion order: `keys()[i]`
+/// names `values()[i]`. Lookup is a linear scan. The objects this library
+/// reads and writes are small (journal records, services, instances,
+/// scenario fields: a handful of keys each), where a scan over contiguous
+/// keys beats a tree walk, and the flat layout costs no tree node or heap
+/// `Json` per member — which matters because a journal snapshot builds,
+/// writes and reads back thousands of such objects.
 class JsonObject {
  public:
-  /// Inserts or overwrites a key.
-  void set(const std::string& key, Json value);
-  [[nodiscard]] bool contains(const std::string& key) const;
+  /// Inserts a key at the end, or overwrites the value of an existing key
+  /// in place (the key keeps its first position).
+  void set(std::string key, Json value);
+  [[nodiscard]] bool contains(std::string_view key) const;
   /// Access; requires the key to exist.
-  [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] const Json& at(std::string_view key) const;
   [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
   [[nodiscard]] bool empty() const noexcept { return keys_.empty(); }
   [[nodiscard]] const std::vector<std::string>& keys() const noexcept {
     return keys_;
   }
+  /// Member values, parallel to keys().
+  [[nodiscard]] const std::vector<Json>& values() const noexcept {
+    return values_;
+  }
 
  private:
+  /// Index of `key`, or size() when absent.
+  [[nodiscard]] std::size_t find(std::string_view key) const;
+
   std::vector<std::string> keys_;
-  std::map<std::string, std::unique_ptr<Json>> values_;
+  std::vector<Json> values_;
 };
 
 class Json {
@@ -56,6 +70,13 @@ class Json {
   Json(std::string s) : value_(std::move(s)) {}
   Json(JsonArray a) : value_(std::move(a)) {}
   Json(JsonObject o) : value_(std::move(o)) {}
+
+  // Move-only: a copy of a record tree is never intended, and deleting it
+  // keeps every accidental deep copy a compile error.
+  Json(const Json&) = delete;
+  Json& operator=(const Json&) = delete;
+  Json(Json&&) noexcept = default;
+  Json& operator=(Json&&) noexcept = default;
 
   [[nodiscard]] bool is_null() const { return holds<std::nullptr_t>(); }
   [[nodiscard]] bool is_bool() const { return holds<bool>(); }
@@ -84,8 +105,10 @@ class Json {
   /// journal append hot path (orchestrator/journal.cpp).
   void dump_append(std::string& out) const;
 
-  /// Strict parse; throws util::CheckFailure with position info on errors.
-  [[nodiscard]] static Json parse(const std::string& text);
+  /// Strict parse of exactly `text` (a view into a longer buffer stops at
+  /// the view's end); throws util::CheckFailure with position info on
+  /// errors, including trailing characters inside the view.
+  [[nodiscard]] static Json parse(std::string_view text);
 
  private:
   template <typename T>

@@ -1,9 +1,11 @@
 #include "orchestrator/journal.h"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <filesystem>
-#include <iterator>
 #include <set>
+#include <system_error>
 #include <utility>
 
 #include "io/scenario_io.h"
@@ -15,16 +17,56 @@ namespace mecra::orchestrator {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: tables[0] is the bytewise CRC-32 table, and
+/// tables[k][n] is the CRC of byte n followed by k zero bytes, so eight
+/// lookups advance the checksum over eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t n = 0; n < 256; ++n) {
+      const std::uint32_t prev = tables[k - 1][n];
+      tables[k][n] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+/// Little-endian u32 at `p`, assembled byte by byte (host-order free).
+std::uint32_t load_u32_le(const char* p) {
+  return static_cast<std::uint32_t>(static_cast<unsigned char>(p[0])) |
+         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[1])) << 8) |
+         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[2]))
+          << 16) |
+         (static_cast<std::uint32_t>(static_cast<unsigned char>(p[3]))
+          << 24);
+}
+
+/// [f(x) for x in items]. Built in pre-sized slots rather than by
+/// push_back: moving Json temporaries through vector growth trips a gcc-12
+/// std::variant -Wmaybe-uninitialized false positive at -O2 and above.
+template <typename Range, typename F>
+io::Json json_array(const Range& items, F f) {
+  io::JsonArray arr(std::size(items));
+  std::size_t i = 0;
+  for (const auto& x : items) arr[i++] = f(x);
+  return io::Json(std::move(arr));
+}
+
+/// [a, b], built like json_array.
+io::Json json_pair(io::Json a, io::Json b) {
+  io::JsonArray pair(2);
+  pair[0] = std::move(a);
+  pair[1] = std::move(b);
+  return io::Json(std::move(pair));
 }
 
 io::Json instance_to_json(const Instance& inst) {
@@ -59,12 +101,7 @@ io::Json service_to_json(const Service& svc) {
   o.set("id", io::Json(svc.id));
   o.set("request", io::to_json(svc.request));
   o.set("state", io::Json(static_cast<int>(svc.state)));
-  io::JsonArray instances;
-  instances.reserve(svc.instances.size());
-  for (const Instance& inst : svc.instances) {
-    instances.push_back(instance_to_json(inst));
-  }
-  o.set("instances", io::Json(std::move(instances)));
+  o.set("instances", json_array(svc.instances, instance_to_json));
   return {std::move(o)};
 }
 
@@ -82,26 +119,19 @@ Service service_from_json(const io::Json& json) {
 
 io::Json controller_state_to_json(const ControllerState& state) {
   io::JsonObject o;
-  io::JsonArray tracked;
-  tracked.reserve(state.tracked.size());
-  for (const ControllerState::Entry& entry : state.tracked) {
-    io::JsonObject e;
-    e.set("service", io::Json(entry.service));
-    e.set("dirty", io::Json(entry.dirty));
-    e.set("not_before", io::Json(entry.not_before));
-    e.set("backoff", io::Json(entry.backoff));
-    tracked.push_back(io::Json(std::move(e)));
-  }
-  o.set("tracked", io::Json(std::move(tracked)));
-  io::JsonArray repairs;
-  repairs.reserve(state.repair_queue.size());
-  for (const auto& [due, v] : state.repair_queue) {
-    io::JsonArray pair;
-    pair.push_back(io::Json(due));
-    pair.push_back(io::Json(v));
-    repairs.push_back(io::Json(std::move(pair)));
-  }
-  o.set("repair_queue", io::Json(std::move(repairs)));
+  o.set("tracked",
+        json_array(state.tracked, [](const ControllerState::Entry& entry) {
+          io::JsonObject e;
+          e.set("service", io::Json(entry.service));
+          e.set("dirty", io::Json(entry.dirty));
+          e.set("not_before", io::Json(entry.not_before));
+          e.set("backoff", io::Json(entry.backoff));
+          return io::Json(std::move(e));
+        }));
+  o.set("repair_queue",
+        json_array(state.repair_queue, [](const auto& entry) {
+          return json_pair(io::Json(entry.first), io::Json(entry.second));
+        }));
   o.set("next_batch", io::Json(state.next_batch));
   o.set("last_now", io::Json(state.last_now));
   io::JsonObject m;
@@ -157,18 +187,9 @@ io::Json touched_residuals(const mec::MecNetwork& network,
   for (const Service* svc : services) {
     for (const Instance& inst : svc->instances) nodes.insert(inst.cloudlet);
   }
-  // Assigned into pre-sized slots rather than push_back'd: moving Json
-  // temporaries through vector growth trips a gcc-12 std::variant
-  // -Wmaybe-uninitialized false positive under -O2.
-  io::JsonArray arr(nodes.size());
-  std::size_t i = 0;
-  for (const graph::NodeId v : nodes) {
-    io::JsonArray pair(2);
-    pair[0] = io::Json(v);
-    pair[1] = io::Json(network.residual(v));
-    arr[i++] = io::Json(std::move(pair));
-  }
-  return io::Json(std::move(arr));
+  return json_array(nodes, [&network](graph::NodeId v) {
+    return json_pair(io::Json(v), io::Json(network.residual(v)));
+  });
 }
 
 /// Applies a record's "residuals" array to the recovering orchestrator.
@@ -188,26 +209,201 @@ void put_u32_le(std::string& out, std::uint32_t x) {
   out.push_back(static_cast<char>((x >> 24) & 0xffu));
 }
 
-std::uint32_t get_u32_le(const std::string& bytes, std::size_t at) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at])) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(bytes[at + 1]))
-          << 8) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(bytes[at + 2]))
-          << 16) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(bytes[at + 3]))
-          << 24);
+/// Cursor over a payload's fixed envelope prefix
+/// `{"v":V,"seq":N,"t":T,"kind":"K","data":` (exact bytes, no whitespace:
+/// the form Journal::append writes).
+struct EnvelopeCursor {
+  std::string_view text;
+  std::size_t pos = 0;
+
+  bool literal(std::string_view lit) {
+    if (text.substr(pos, lit.size()) != lit) return false;
+    pos += lit.size();
+    return true;
+  }
+  /// A JSON number, scanned and converted as io::Json::parse does.
+  bool number(double& out) {
+    const std::size_t start = pos;
+    while (pos < text.size() &&
+           ((text[pos] >= '0' && text[pos] <= '9') || text[pos] == '.' ||
+            text[pos] == 'e' || text[pos] == 'E' || text[pos] == '+' ||
+            text[pos] == '-')) {
+      ++pos;
+    }
+    const char* end = text.data() + pos;
+    const auto [ptr, ec] = std::from_chars(text.data() + start, end, out);
+    return pos > start && ec == std::errc() && ptr == end;
+  }
+  /// A string without escapes or control characters (record kinds are
+  /// plain identifiers; Journal::append refuses anything else).
+  bool plain_string(std::string_view& out) {
+    if (!literal("\"")) return false;
+    const std::size_t start = pos;
+    while (pos < text.size() && text[pos] != '"') {
+      if (text[pos] == '\\' || static_cast<unsigned char>(text[pos]) < 0x20) {
+        return false;
+      }
+      ++pos;
+    }
+    if (pos == text.size()) return false;
+    out = text.substr(start, pos - start);
+    ++pos;
+    return true;
+  }
+};
+
+/// One complete, checked frame. `kind` and `data` view the walker's buffer
+/// and stay valid until its next call to next().
+struct Frame {
+  std::uint64_t offset = 0;  // file offset of the frame header
+  std::uint64_t seq = 0;
+  double time = 0.0;
+  std::string_view kind;
+  std::string_view data;  // JSON text of the record's "data" member
+};
+
+/// The journal's only reader. Walks the file one frame at a time through
+/// one reused payload buffer and checks every frame's length, CRC-32,
+/// format version, sequence number and envelope before handing it out —
+/// without building any JSON. A missing file walks as an empty one.
+class FrameWalker {
+ public:
+  /// Starts at `offset`, where the frame carrying sequence number `seq`
+  /// begins (the defaults walk the whole file).
+  explicit FrameWalker(const std::string& path, std::uint64_t offset = 0,
+                       std::uint64_t seq = 0)
+      : path_(path), pos_(offset), used_(offset), expected_seq_(seq) {
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+    in_.open(path_, std::ios::binary);
+    if (!ec && in_.is_open()) size_ = size;  // absent file == empty journal
+    MECRA_CHECK_MSG(offset <= size_, "journal: offset past the end of " + path_);
+    in_.seekg(static_cast<std::streamoff>(offset));
+  }
+
+  /// Reads and checks the next frame into `frame`. Returns false at the end
+  /// of the file or at a torn tail (the file ends inside a frame, or the
+  /// final frame's checksum fails). Throws util::CheckFailure on mid-file
+  /// corruption, a sequence gap, an unsupported version or a malformed
+  /// envelope, naming the frame's offset.
+  bool next(Frame& frame) {
+    if (torn_ || pos_ == size_) return false;
+    if (size_ - pos_ < 8) return tear();  // crash inside a frame header
+    char header[8];
+    read(header, sizeof header);
+    const std::uint32_t len = load_u32_le(header);
+    const std::uint32_t crc = load_u32_le(header + 4);
+    if (size_ - pos_ - 8 < len) return tear();  // crash inside the payload
+    buf_.resize(len);
+    read(buf_.data(), len);
+    const std::string_view payload(buf_.data(), len);
+    if (journal_crc32(payload) != crc) {
+      // A bad checksum on the FINAL frame is a torn write (the length
+      // header landed but the payload did not finish); anywhere else it is
+      // silent corruption and must not be skipped over.
+      MECRA_CHECK_MSG(pos_ + 8 + len == size_,
+                      "journal corrupt: checksum mismatch mid-file at " +
+                          where());
+      return tear();
+    }
+    decode(payload, frame);
+    ++expected_seq_;
+    pos_ += 8 + len;
+    used_ = pos_;
+    return true;
+  }
+
+  [[nodiscard]] bool torn_tail() const noexcept { return torn_; }
+  /// File offset just past the last complete frame walked.
+  [[nodiscard]] std::uint64_t bytes_used() const noexcept { return used_; }
+
+ private:
+  bool tear() {
+    torn_ = true;
+    return false;
+  }
+
+  void read(char* out, std::size_t n) {
+    in_.read(out, static_cast<std::streamsize>(n));
+    MECRA_CHECK_MSG(in_.good(), "journal: read failed at " + where());
+  }
+
+  [[nodiscard]] std::string where() const {
+    return "offset " + std::to_string(pos_) + " of " + path_;
+  }
+
+  /// Decodes the envelope of a checksum-valid payload.
+  void decode(std::string_view payload, Frame& frame) const {
+    EnvelopeCursor c{payload};
+    double version = 0.0;
+    MECRA_CHECK_MSG(c.literal(R"({"v":)") && c.number(version),
+                    "journal corrupt: malformed record envelope at " +
+                        where());
+    MECRA_CHECK_MSG(version == kJournalFormatVersion,
+                    "journal: unsupported format version at " + where());
+    double seq = 0.0;
+    const bool ok = c.literal(R"(,"seq":)") && c.number(seq) &&
+                    c.literal(R"(,"t":)") && c.number(frame.time) &&
+                    c.literal(R"(,"kind":)") && c.plain_string(frame.kind) &&
+                    c.literal(R"(,"data":)") &&
+                    c.pos + 1 < payload.size() && payload.back() == '}';
+    // The data member's text runs to the final '}' with no whitespace
+    // around it (the rest of it is left to io::Json::parse).
+    const std::string_view data =
+        ok ? payload.substr(c.pos, payload.size() - 1 - c.pos)
+           : std::string_view();
+    MECRA_CHECK_MSG(ok && !is_space(data.front()) && !is_space(data.back()),
+                    "journal corrupt: malformed record envelope at " +
+                        where());
+    MECRA_CHECK_MSG(seq == static_cast<double>(expected_seq_),
+                    "journal corrupt: sequence gap at " + where());
+    frame.offset = pos_;
+    frame.seq = expected_seq_;
+    frame.data = data;
+  }
+
+  static bool is_space(char ch) {
+    return ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r';
+  }
+
+  std::string path_;
+  std::ifstream in_;
+  std::uint64_t size_ = 0;
+  std::uint64_t pos_;   // offset of the next frame header
+  std::uint64_t used_;  // offset just past the last complete frame
+  std::uint64_t expected_seq_;
+  bool torn_ = false;
+  std::string buf_;  // the current payload, reused across frames
+};
+
+/// Parses a walked frame's data, naming the frame on a malformed body.
+io::Json parse_data(const Frame& frame, const std::string& path) {
+  try {
+    return io::Json::parse(frame.data);
+  } catch (const util::CheckFailure& e) {
+    throw util::CheckFailure("journal corrupt: record at offset " +
+                             std::to_string(frame.offset) + " of " + path +
+                             ": " + e.what());
+  }
 }
 
 }  // namespace
 
 std::uint32_t journal_crc32(std::string_view bytes) {
-  static constexpr std::array<std::uint32_t, 256> kTable = make_crc_table();
+  static constexpr CrcTables kT = make_crc_tables();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : bytes) {
-    crc = kTable[(crc ^ static_cast<unsigned char>(c)) & 0xffu] ^ (crc >> 8);
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ load_u32_le(p);
+    const std::uint32_t hi = load_u32_le(p + 4);
+    crc = kT[7][lo & 0xffu] ^ kT[6][(lo >> 8) & 0xffu] ^
+          kT[5][(lo >> 16) & 0xffu] ^ kT[4][lo >> 24] ^ kT[3][hi & 0xffu] ^
+          kT[2][(hi >> 8) & 0xffu] ^ kT[1][(hi >> 16) & 0xffu] ^
+          kT[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kT[0][(crc ^ static_cast<unsigned char>(*p)) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -237,12 +433,19 @@ std::string Durability::to_string() const {
 Journal::Journal(std::string path, Mode mode, Durability durability)
     : path_(std::move(path)), durability_(durability) {
   if (mode == Mode::kContinue) {
-    const JournalScan scan = scan_journal(path_);
-    if (scan.torn_tail) {
-      // Drop the half-written frame so the next append starts a clean one.
-      std::filesystem::resize_file(path_, scan.bytes_used);
+    bool torn = false;
+    std::uint64_t used = 0;
+    {
+      FrameWalker walker(path_);
+      Frame frame;
+      while (walker.next(frame)) next_seq_ = frame.seq + 1;
+      torn = walker.torn_tail();
+      used = walker.bytes_used();
     }
-    next_seq_ = scan.records.empty() ? 0 : scan.records.back().seq + 1;
+    if (torn) {
+      // Drop the half-written frame so the next append starts a clean one.
+      std::filesystem::resize_file(path_, used);
+    }
     out_.open(path_, std::ios::binary | std::ios::app);
   } else {
     out_.open(path_, std::ios::binary | std::ios::trunc);
@@ -269,6 +472,13 @@ void Journal::set_durability(Durability durability) {
 std::uint64_t Journal::append(std::string_view kind, double time,
                               io::Json data) {
   MECRA_CHECK_MSG(!wedged_, "journal is wedged after a torn write");
+  MECRA_CHECK_MSG(
+      std::all_of(kind.begin(), kind.end(),
+                  [](char ch) {
+                    return static_cast<unsigned char>(ch) >= 0x20 &&
+                           ch != '"' && ch != '\\';
+                  }),
+      "journal: record kind must not need JSON escaping");
   // Hand-assembled record envelope, serialized straight into the reusable
   // scratch buffer. Building a JsonObject wrapper (five allocating inserts
   // plus the temporary dump() returns) costs more than the physical write
@@ -360,16 +570,11 @@ io::Json make_snapshot_record(const Orchestrator& orch,
   io::JsonObject data;
   data.set("network", io::to_json(orch.network()));
   data.set("catalog", io::to_json(orch.catalog()));
-  io::JsonArray services;
-  for (const ServiceId id : orch.services()) {
-    services.push_back(service_to_json(orch.service(id)));
-  }
-  data.set("services", io::Json(std::move(services)));
-  io::JsonArray down;
-  for (const graph::NodeId v : orch.down_cloudlets()) {
-    down.push_back(io::Json(v));
-  }
-  data.set("down", io::Json(std::move(down)));
+  data.set("services", json_array(orch.services(), [&orch](ServiceId id) {
+             return service_to_json(orch.service(id));
+           }));
+  data.set("down", json_array(orch.down_cloudlets(),
+                              [](graph::NodeId v) { return io::Json(v); }));
   data.set("next_service", io::Json(orch.next_service_id()));
   data.set("next_instance", io::Json(orch.next_instance_id()));
   data.set("has_shard_map", io::Json(orch.has_shard_map()));
@@ -387,12 +592,9 @@ io::Json make_admit_record(const Orchestrator& orch, const Service& svc) {
 io::Json make_batch_record(const Orchestrator& orch,
                            const std::vector<const Service*>& admitted) {
   io::JsonObject data;
-  io::JsonArray services;
-  services.reserve(admitted.size());
-  for (const Service* svc : admitted) {
-    services.push_back(service_to_json(*svc));
-  }
-  data.set("services", io::Json(std::move(services)));
+  data.set("services", json_array(admitted, [](const Service* svc) {
+             return service_to_json(*svc);
+           }));
   data.set("residuals", touched_residuals(orch.network(), admitted));
   // Batches burn ids only for admitted requests, but recovery still resets
   // the counters explicitly so departed-then-crashed histories replay to
@@ -454,72 +656,24 @@ std::uint64_t Journal::reconcile_mark(double time) {
 
 JournalScan scan_journal(const std::string& path) {
   JournalScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return scan;  // absent file == empty journal
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  std::uint64_t expected_seq = 0;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) {
-      scan.torn_tail = true;  // crash inside a frame header
-      break;
-    }
-    const std::uint32_t len = get_u32_le(bytes, pos);
-    const std::uint32_t crc = get_u32_le(bytes, pos + 4);
-    if (bytes.size() - pos - 8 < len) {
-      scan.torn_tail = true;  // crash inside the payload
-      break;
-    }
-    const std::string payload = bytes.substr(pos + 8, len);
-    if (journal_crc32(payload) != crc) {
-      // A bad checksum on the FINAL frame is a torn write (the length
-      // header landed but the payload did not finish); anywhere else it is
-      // silent corruption and must not be skipped over.
-      MECRA_CHECK_MSG(
-          pos + 8 + len == bytes.size(),
-          "journal corrupt: checksum mismatch mid-file at offset " +
-              std::to_string(pos) + " of " + path);
-      scan.torn_tail = true;
-      break;
-    }
-    JournalRecord rec;
-    rec.payload = io::Json::parse(payload);
-    const io::JsonObject& obj = rec.payload.as_object();
-    MECRA_CHECK_MSG(obj.at("v").as_int() == kJournalFormatVersion,
-                    "journal: unsupported format version in " + path);
-    rec.seq = static_cast<std::uint64_t>(obj.at("seq").as_int());
-    rec.time = obj.at("t").as_double();
-    rec.kind = obj.at("kind").as_string();
-    MECRA_CHECK_MSG(rec.seq == expected_seq,
-                    "journal corrupt: sequence gap at offset " +
-                        std::to_string(pos) + " of " + path);
-    ++expected_seq;
-    scan.records.push_back(std::move(rec));
-    pos += 8 + len;
-    scan.bytes_used = pos;
+  FrameWalker walker(path);
+  Frame frame;
+  while (walker.next(frame)) {
+    scan.records.push_back({.seq = frame.seq,
+                            .time = frame.time,
+                            .kind = std::string(frame.kind),
+                            .body = parse_data(frame, path)});
   }
+  scan.torn_tail = walker.torn_tail();
+  scan.bytes_used = walker.bytes_used();
   return scan;
 }
 
-Recovered recover(const std::string& path, const RecoverOptions& options) {
-  const JournalScan scan = scan_journal(path);
-  MECRA_CHECK_MSG(!scan.records.empty(),
-                  "journal recovery: no complete records in " + path);
-  std::size_t snap_index = scan.records.size();
-  for (std::size_t i = scan.records.size(); i-- > 0;) {
-    if (scan.records[i].kind == kJournalSnapshot) {
-      snap_index = i;
-      break;
-    }
-  }
-  MECRA_CHECK_MSG(snap_index < scan.records.size(),
-                  "journal recovery: no snapshot record in " + path);
+namespace {
 
-  const JournalRecord& snap = scan.records[snap_index];
-  const io::JsonObject& s = snap.data().as_object();
-  Recovered out;
-  out.torn_tail = scan.torn_tail;
+/// Rebuilds the orchestrator + controller pair from a snapshot's data.
+void restore_snapshot(Recovered& out, const io::JsonObject& s,
+                      const RecoverOptions& options) {
   out.orch = std::make_unique<Orchestrator>(
       io::network_from_json(s.at("network")),
       io::catalog_from_json(s.at("catalog")), options.orchestrator);
@@ -543,58 +697,93 @@ Recovered recover(const std::string& path, const RecoverOptions& options) {
   out.controller = std::make_unique<Controller>(*out.orch,
                                                 options.controller);
   out.controller->restore(controller_state_from_json(s.at("controller")));
-  out.last_time = snap.time;
-  out.last_seq = snap.seq;
+}
 
-  for (std::size_t i = snap_index + 1; i < scan.records.size(); ++i) {
-    const JournalRecord& rec = scan.records[i];
-    const io::JsonObject& data = rec.data().as_object();
-    if (rec.kind == kJournalAdmit) {
-      Service svc = service_from_json(data.at("service"));
+/// Applies one post-snapshot record to the recovering pair.
+void apply_record(Recovered& out, std::string_view kind, double time,
+                  const io::JsonObject& data) {
+  if (kind == kJournalAdmit) {
+    Service svc = service_from_json(data.at("service"));
+    const ServiceId id = svc.id;
+    // Effect replay: the record carries the exact post-admit residuals,
+    // so the restore must not consume on top of them.
+    out.orch->restore_service(std::move(svc), /*consume_capacity=*/false);
+    apply_residuals(*out.orch, data.at("residuals"));
+    out.controller->on_admit(id, time);
+  } else if (kind == kJournalBatch) {
+    for (const io::Json& sj : data.at("services").as_array()) {
+      Service svc = service_from_json(sj);
       const ServiceId id = svc.id;
-      // Effect replay: the record carries the exact post-admit residuals,
-      // so the restore must not consume on top of them.
       out.orch->restore_service(std::move(svc), /*consume_capacity=*/false);
-      apply_residuals(*out.orch, data.at("residuals"));
-      out.controller->on_admit(id, rec.time);
-    } else if (rec.kind == kJournalBatch) {
-      for (const io::Json& sj : data.at("services").as_array()) {
-        Service svc = service_from_json(sj);
-        const ServiceId id = svc.id;
-        out.orch->restore_service(std::move(svc),
-                                  /*consume_capacity=*/false);
-        out.controller->on_admit(id, rec.time);
-      }
-      apply_residuals(*out.orch, data.at("residuals"));
-      out.orch->set_id_counters(
-          static_cast<ServiceId>(data.at("next_service").as_int()),
-          static_cast<InstanceId>(data.at("next_instance").as_int()));
-      // A batch commit implies the live run had built the shard map.
-      out.orch->ensure_shard_map();
-    } else if (rec.kind == kJournalInstanceFailure) {
-      const auto svc = static_cast<ServiceId>(data.at("service").as_int());
-      (void)out.orch->fail_instance(
-          svc, static_cast<InstanceId>(data.at("instance").as_int()));
-      out.controller->on_instance_failed(svc, rec.time);
-    } else if (rec.kind == kJournalCloudletOutage) {
-      const auto v = static_cast<graph::NodeId>(data.at("cloudlet").as_int());
-      out.orch->fail_cloudlet(v);
-      out.controller->on_cloudlet_failed(v, rec.time);
-    } else if (rec.kind == kJournalRepair) {
-      out.orch->repair_cloudlet(
-          static_cast<graph::NodeId>(data.at("cloudlet").as_int()));
-    } else if (rec.kind == kJournalTeardown) {
-      const auto svc = static_cast<ServiceId>(data.at("service").as_int());
-      out.orch->teardown(svc);
-      out.controller->on_teardown(svc);
-    } else if (rec.kind == kJournalReconcile) {
-      (void)out.controller->reconcile(rec.time);
-    } else {
-      MECRA_CHECK_MSG(false, "journal: unknown record kind " + rec.kind);
+      out.controller->on_admit(id, time);
     }
+    apply_residuals(*out.orch, data.at("residuals"));
+    out.orch->set_id_counters(
+        static_cast<ServiceId>(data.at("next_service").as_int()),
+        static_cast<InstanceId>(data.at("next_instance").as_int()));
+    // A batch commit implies the live run had built the shard map.
+    out.orch->ensure_shard_map();
+  } else if (kind == kJournalInstanceFailure) {
+    const auto svc = static_cast<ServiceId>(data.at("service").as_int());
+    (void)out.orch->fail_instance(
+        svc, static_cast<InstanceId>(data.at("instance").as_int()));
+    out.controller->on_instance_failed(svc, time);
+  } else if (kind == kJournalCloudletOutage) {
+    const auto v = static_cast<graph::NodeId>(data.at("cloudlet").as_int());
+    out.orch->fail_cloudlet(v);
+    out.controller->on_cloudlet_failed(v, time);
+  } else if (kind == kJournalRepair) {
+    out.orch->repair_cloudlet(
+        static_cast<graph::NodeId>(data.at("cloudlet").as_int()));
+  } else if (kind == kJournalTeardown) {
+    const auto svc = static_cast<ServiceId>(data.at("service").as_int());
+    out.orch->teardown(svc);
+    out.controller->on_teardown(svc);
+  } else if (kind == kJournalReconcile) {
+    (void)out.controller->reconcile(time);
+  } else {
+    MECRA_CHECK_MSG(false,
+                    "journal: unknown record kind " + std::string(kind));
+  }
+}
+
+}  // namespace
+
+Recovered recover(const std::string& path, const RecoverOptions& options) {
+  // Pass 1: check every frame and find the last snapshot, parsing no JSON.
+  Recovered out;
+  std::uint64_t snap_offset = 0;
+  std::uint64_t snap_seq = 0;
+  bool snapshot = false;
+  {
+    FrameWalker walker(path);
+    Frame frame;
+    while (walker.next(frame)) {
+      if (frame.kind == kJournalSnapshot) {
+        snapshot = true;
+        snap_offset = frame.offset;
+        snap_seq = frame.seq;
+      }
+    }
+    out.torn_tail = walker.torn_tail();
+  }
+  MECRA_CHECK_MSG(snapshot,
+                  "journal recovery: no snapshot record in " + path);
+
+  // Pass 2: restore that snapshot, then parse and apply the tail one
+  // record at a time, so at most one tail record's tree is alive.
+  FrameWalker walker(path, snap_offset, snap_seq);
+  Frame frame;
+  MECRA_CHECK(walker.next(frame) && frame.kind == kJournalSnapshot);
+  restore_snapshot(out, parse_data(frame, path).as_object(), options);
+  out.last_time = frame.time;
+  out.last_seq = frame.seq;
+  while (walker.next(frame)) {
+    apply_record(out, frame.kind, frame.time,
+                 parse_data(frame, path).as_object());
     ++out.replayed_events;
-    out.last_time = rec.time;
-    out.last_seq = rec.seq;
+    out.last_time = frame.time;
+    out.last_seq = frame.seq;
   }
 
   if (obs::enabled()) {

@@ -19,13 +19,27 @@
 //
 //   {"v":1,"seq":<n>,"t":<time>,"kind":"<kind>","data":{...}}
 //
-// Sequence numbers are dense and start at 0; scan_journal() verifies both
-// the checksums and the sequence chain. A TORN TAIL — the file ends inside
-// a frame, or the final frame's checksum fails — is the expected signature
-// of a crash mid-append and is tolerated: the partial frame is dropped and
-// recovery proceeds to the last complete record. A checksum mismatch with
-// MORE data after it is silent corruption and fails with a clear error
-// instead (never undefined behaviour).
+// The envelope up to `"data":` is an exact byte prefix — append() writes
+// it by hand, without whitespace — so a reader decodes it without building
+// any JSON. Sequence numbers are dense and start at 0.
+//
+// Reading. One frame walker (journal.cpp) reads the file a frame at a time
+// into one reused buffer and checks every frame's length, CRC-32, format
+// version, sequence number and envelope; it is the only reader, behind
+// scan_journal(), Journal(kContinue) and recover(). A TORN TAIL — the file
+// ends inside a frame, or the final frame's checksum fails — is the
+// expected signature of a crash mid-append and is tolerated: the partial
+// frame is dropped and recovery proceeds to the last complete record. A
+// checksum mismatch with MORE data after it is silent corruption and fails
+// with a clear error instead (never undefined behaviour). The frame header
+// itself carries no checksum, so in v1 a corrupted length that runs a
+// mid-file frame past the end of the file reads exactly like a torn tail.
+//
+// Recovery cost. recover() walks twice: the first pass checks every frame
+// and finds the last snapshot without parsing JSON; the second seeks to
+// that snapshot and parses and applies one record at a time. It costs the
+// last snapshot plus the tail, and holds one record's JSON tree at a time
+// (the snapshot's, then each tail record's in turn).
 //
 // Replay strategy. Deterministic operations (fail_instance promotion,
 // fail_cloudlet, repair, reconcile's greedy reaugment/revive) journal a
@@ -99,7 +113,8 @@ inline constexpr std::string_view kJournalTeardown = "teardown";
 inline constexpr std::string_view kJournalReconcile = "reconcile";
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes` —
-/// the frame checksum. Exposed so tests can craft corrupt frames.
+/// the frame checksum, computed slicing-by-8. Exposed so tests can craft
+/// corrupt frames.
 [[nodiscard]] std::uint32_t journal_crc32(std::string_view bytes);
 
 /// When appended records reach the file (group-commit policy). The bytes
@@ -169,6 +184,8 @@ class Journal {
   /// Appends one framed record; the durability policy decides whether it
   /// reaches the file now (kPerRecord) or waits in the pending group
   /// (kPerGroup). Returns the record's sequence number, assigned eagerly.
+  /// `kind` must not need JSON escaping (no quote, backslash or control
+  /// character): readers decode it as raw envelope bytes.
   std::uint64_t append(std::string_view kind, double time, io::Json data);
 
   /// Writes and flushes the pending group as one contiguous write. No-op
@@ -240,18 +257,14 @@ class Journal {
 /// Payload of a `teardown` record.
 [[nodiscard]] io::Json make_teardown_record(ServiceId service);
 
-/// One decoded record. `payload` is the full parsed record object
-/// (io::Json is move-only, so the record keeps the whole object);
-/// data() accesses its "data" member.
+/// One decoded record: the envelope fields plus the parsed "data" member.
 struct JournalRecord {
   std::uint64_t seq = 0;
   double time = 0.0;
   std::string kind;
-  io::Json payload;
+  io::Json body;
 
-  [[nodiscard]] const io::Json& data() const {
-    return payload.as_object().at("data");
-  }
+  [[nodiscard]] const io::Json& data() const { return body; }
 };
 
 struct JournalScan {
@@ -263,10 +276,12 @@ struct JournalScan {
   std::uint64_t bytes_used = 0;
 };
 
-/// Decodes every complete record of the file. Tolerates a torn tail;
-/// throws util::CheckFailure on mid-file corruption, a bad sequence chain,
-/// or an unsupported format version. A missing or empty file scans to zero
-/// records (recover() is the layer that demands a snapshot).
+/// Decodes every complete record of the file, parsing every record's data
+/// (for tests and tools; recover() parses only from the last snapshot on).
+/// Tolerates a torn tail; throws util::CheckFailure on mid-file corruption,
+/// a bad sequence chain, a malformed envelope or data, or an unsupported
+/// format version. A missing or empty file scans to zero records (recover()
+/// is the layer that demands a snapshot).
 [[nodiscard]] JournalScan scan_journal(const std::string& path);
 
 struct RecoverOptions {
@@ -291,8 +306,10 @@ struct Recovered {
 };
 
 /// Rebuilds the orchestrator + controller from the LAST snapshot record
-/// plus every record after it. Throws util::CheckFailure when the journal
-/// has no snapshot or is corrupt mid-file.
+/// plus every record after it. Every frame's framing and envelope is
+/// checked; JSON is parsed only from that snapshot on. Throws
+/// util::CheckFailure when the journal has no snapshot or is corrupt
+/// mid-file.
 [[nodiscard]] Recovered recover(const std::string& path,
                                 const RecoverOptions& options);
 

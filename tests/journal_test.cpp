@@ -1,20 +1,27 @@
 // Tests for the write-ahead event journal (orchestrator/journal.h): frame
 // checksums, scan/replay round-trips through io::Json, bit-identical
 // recovery of orchestrator + controller state, torn-tail tolerance,
-// loud mid-file corruption errors, and the journal.torn_write fault.
+// loud mid-file corruption errors, the journal.torn_write fault, pinned
+// v1 bytes, and random cuts and byte flips of a real run's journal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/topology.h"
 #include "orchestrator/journal.h"
+#include "sim/simulate.h"
 #include "util/check.h"
 #include "util/faultpoint.h"
+#include "util/rng.h"
 
 namespace mecra::orchestrator {
 namespace {
@@ -38,10 +45,11 @@ struct World {
 /// Flat comparable view of everything restore_service/recover must get
 /// right: the whole service table, residuals, down set, and id counters.
 struct OrchSnap {
+  std::vector<std::pair<ServiceId, int>> service_states;
   std::vector<std::tuple<ServiceId, std::uint64_t, std::uint32_t,
                          graph::NodeId, int, int>>
       instances;
-  std::vector<double> residuals;
+  std::vector<std::uint64_t> residual_bits;
   std::vector<graph::NodeId> down;
   ServiceId next_service = 0;
   InstanceId next_instance = 0;
@@ -53,6 +61,8 @@ struct OrchSnap {
 OrchSnap snap_of(const Orchestrator& orch) {
   OrchSnap snap;
   for (const ServiceId id : orch.services()) {
+    snap.service_states.emplace_back(
+        id, static_cast<int>(orch.service(id).state));
     for (const Instance& inst : orch.service(id).instances) {
       snap.instances.emplace_back(id, inst.id, inst.chain_pos, inst.cloudlet,
                                   static_cast<int>(inst.role),
@@ -60,7 +70,8 @@ OrchSnap snap_of(const Orchestrator& orch) {
     }
   }
   for (graph::NodeId v = 0; v < orch.network().num_nodes(); ++v) {
-    snap.residuals.push_back(orch.network().residual(v));
+    snap.residual_bits.push_back(
+        std::bit_cast<std::uint64_t>(orch.network().residual(v)));
   }
   snap.down = orch.down_cloudlets();
   snap.next_service = orch.next_service_id();
@@ -105,6 +116,32 @@ InstanceId a_standby_of(const Orchestrator& orch, ServiceId id) {
 TEST(JournalFraming, Crc32MatchesTheIeeeCheckVector) {
   EXPECT_EQ(journal_crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(journal_crc32(""), 0u);
+}
+
+/// Reference CRC-32: one bit at a time, no tables.
+std::uint32_t crc32_bytewise(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char c : bytes) {
+    crc ^= static_cast<unsigned char>(c);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(JournalFraming, Crc32MatchesTheBytewiseLoopOnRandomSlices) {
+  util::Rng rng(31);
+  std::string buffer(6000, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.uniform_int(0, 255));
+  ASSERT_EQ(crc32_bytewise("123456789"), 0xCBF43926u);
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t len = rng.index(5001);
+    const std::size_t offset = rng.index(buffer.size() - len + 1);
+    const std::string_view slice(buffer.data() + offset, len);
+    ASSERT_EQ(journal_crc32(slice), crc32_bytewise(slice))
+        << "offset " << offset << " length " << len;
+  }
 }
 
 TEST(JournalFraming, AppendScanRoundTripsThroughJsonParse) {
@@ -516,6 +553,264 @@ TEST(JournalRecovery, TornFinalRecordRecoversToTheLastCompleteEvent) {
   EXPECT_EQ(recovered.last_time, 1.0);
   EXPECT_EQ(snap_of(*recovered.orch), after_first);
   expect_controller_state_eq(recovered.controller->state(), state_first);
+}
+
+// --- pinned bytes and adversarial journals -------------------------------
+
+/// A seeded pooled sim::simulate run with instance failures, cloudlet
+/// outages, the controller and periodic snapshots, journaled to `path`.
+sim::SimConfig pooled_config(const std::string& path) {
+  sim::SimConfig config;
+  config.mode = sim::AdmissionMode::kPooled;
+  config.window_width = 1.5;
+  config.arrival_rate = 1.5;
+  config.mean_holding_time = 8.0;
+  config.horizon = 30.0;
+  config.instance_failure_rate = 1.0;
+  config.cloudlet_outage_rate = 0.15;
+  config.controller = ControllerOptions{.mttr = 5.0};
+  config.journal_path = path;
+  config.snapshot_period = 8.0;
+  return config;
+}
+
+struct PooledWorld {
+  mec::MecNetwork network;
+  mec::VnfCatalog catalog;
+};
+
+PooledWorld pooled_world() {
+  util::Rng rng(77);
+  graph::WaxmanParams wax;
+  wax.num_nodes = 30;
+  auto topo = graph::waxman(wax, rng);
+  mec::MecNetwork network =
+      mec::MecNetwork::random(std::move(topo.graph), {}, rng);
+  util::Rng catalog_rng(78);
+  return {std::move(network), mec::VnfCatalog::random({}, catalog_rng)};
+}
+
+void write_pooled_journal(const std::string& path) {
+  const PooledWorld w = pooled_world();
+  (void)sim::simulate(w.network, w.catalog, pooled_config(path), 21);
+}
+
+TEST(JournalGolden, PooledRunBytesArePinned) {
+  // Length and CRC-32 of this run's journal, recorded before io::JsonObject
+  // lost its std::map: a change to the object or its serializer cannot
+  // alter v1 bytes unnoticed.
+  const std::string path = temp_path("golden_pooled.journal");
+  write_pooled_journal(path);
+  const std::string bytes = file_bytes(path);
+  EXPECT_EQ(bytes.size(), 39880u);
+  EXPECT_EQ(journal_crc32(bytes), 0x3A30B081u);
+}
+
+/// The pooled run's journal extended by a recovered, resumed pair with the
+/// records pooled admission never writes, so every record kind appears;
+/// plus the start offset of every frame (and the file size, last).
+struct AdversarialJournal {
+  std::string bytes;
+  std::vector<std::size_t> starts;
+  RecoverOptions options;
+};
+
+const AdversarialJournal& adversarial_journal() {
+  static const AdversarialJournal journal = [] {
+    AdversarialJournal out;
+    // Named after the first test to ask: ctest runs tests as parallel
+    // processes, which must not share the file.
+    const std::string path =
+        ::testing::TempDir() +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".fixture.journal";
+    write_pooled_journal(path);
+    out.options.controller = ControllerOptions{.mttr = 5.0};
+    {
+      const Recovered rec = recover(path, out.options);
+      Journal resumed(path, Journal::Mode::kContinue);
+      mec::SfcRequest request;
+      request.chain = {0, 1, 2};
+      request.expectation = 0.95;
+      util::Rng rng(5);
+      const auto id = rec.orch->admit(request, rng);
+      MECRA_CHECK(id.has_value());
+      resumed.admit(*rec.orch, rec.orch->service(*id), 31.0);
+      rec.controller->on_admit(*id, 31.0);
+      const graph::NodeId v = rec.orch->service(*id).instances[0].cloudlet;
+      resumed.cloudlet_outage(v, 32.0);
+      rec.orch->fail_cloudlet(v);
+      rec.controller->on_cloudlet_failed(v, 32.0);
+      resumed.snapshot(*rec.orch, *rec.controller, 33.0);
+      resumed.reconcile_mark(34.0);
+      (void)rec.controller->reconcile(34.0);
+      resumed.repair(v, 35.0);
+      rec.orch->repair_cloudlet(v);
+    }
+    out.bytes = file_bytes(path);
+    for (std::size_t pos = 0; pos < out.bytes.size();) {
+      out.starts.push_back(pos);
+      std::uint32_t len = 0;
+      for (std::size_t b = 4; b-- > 0;) {
+        len = (len << 8) | static_cast<unsigned char>(out.bytes[pos + b]);
+      }
+      pos += 8 + len;
+    }
+    out.starts.push_back(out.bytes.size());
+    return out;
+  }();
+  return journal;
+}
+
+void write_bytes(const std::string& path, std::string_view bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(JournalAdversarial, FixtureHasEveryRecordKindAndSnapshots) {
+  const AdversarialJournal& j = adversarial_journal();
+  const std::string path = temp_path("adversarial_scan.journal");
+  write_bytes(path, j.bytes);
+  const JournalScan scan = scan_journal(path);
+  ASSERT_EQ(scan.records.size() + 1, j.starts.size());
+  std::set<std::string> kinds;
+  std::size_t snapshots = 0;
+  for (const JournalRecord& r : scan.records) {
+    kinds.insert(r.kind);
+    if (r.kind == kJournalSnapshot) ++snapshots;
+  }
+  EXPECT_GE(snapshots, 2u);
+  for (const std::string_view kind :
+       {kJournalSnapshot, kJournalAdmit, kJournalBatch,
+        kJournalInstanceFailure, kJournalCloudletOutage, kJournalRepair,
+        kJournalTeardown, kJournalReconcile}) {
+    EXPECT_TRUE(kinds.contains(std::string(kind))) << kind;
+  }
+}
+
+TEST(JournalAdversarial, RandomCutsRecoverToTheLastCompleteFrame) {
+  const AdversarialJournal& j = adversarial_journal();
+  const std::size_t first_snapshot_end = j.starts[1];
+  const std::string cut_path = temp_path("adversarial_cut.journal");
+  const std::string clean_path = temp_path("adversarial_clean.journal");
+  util::Rng rng(41);
+  for (int i = 0; i < 50; ++i) {
+    // One cut in ten lands inside or before the first snapshot.
+    const std::size_t cut =
+        i % 10 == 0 ? rng.index(first_snapshot_end)
+                    : first_snapshot_end +
+                          rng.index(j.bytes.size() - first_snapshot_end);
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    write_bytes(cut_path, std::string_view(j.bytes).substr(0, cut));
+    if (cut < first_snapshot_end) {
+      EXPECT_THROW((void)recover(cut_path, j.options), util::CheckFailure);
+      continue;
+    }
+    // Frame k contains the cut; a cut at its start is a clean prefix.
+    const auto k = static_cast<std::size_t>(
+        std::upper_bound(j.starts.begin(), j.starts.end(), cut) -
+        j.starts.begin() - 1);
+    write_bytes(clean_path, std::string_view(j.bytes).substr(0, j.starts[k]));
+    const Recovered torn = recover(cut_path, j.options);
+    const Recovered clean = recover(clean_path, j.options);
+    EXPECT_EQ(torn.torn_tail, cut != j.starts[k]);
+    EXPECT_FALSE(clean.torn_tail);
+    EXPECT_EQ(torn.last_seq, k - 1);
+    EXPECT_EQ(torn.last_time, clean.last_time);
+    EXPECT_EQ(snap_of(*torn.orch), snap_of(*clean.orch));
+    expect_controller_state_eq(torn.controller->state(),
+                               clean.controller->state());
+
+    // The restarted writer drops the tear and resumes the sequence chain.
+    Journal resumed(cut_path, Journal::Mode::kContinue);
+    EXPECT_EQ(resumed.next_seq(), k);
+    EXPECT_EQ(std::filesystem::file_size(cut_path), j.starts[k]);
+  }
+}
+
+TEST(JournalAdversarial, RandomByteFlipsFailLoudlyOrTearAtTheirFrame) {
+  const AdversarialJournal& j = adversarial_journal();
+  const std::size_t frames = j.starts.size() - 1;
+  const std::string path = temp_path("adversarial_flip.journal");
+  const std::string clean_path = temp_path("adversarial_flip_clean.journal");
+  util::Rng rng(43);
+  for (int i = 0; i < 50; ++i) {
+    const std::size_t k = rng.index(frames - 1);  // never the final frame
+    const std::size_t within =
+        i % 5 == 0 ? rng.index(4)  // every fifth flip hits a length byte
+                   : rng.index(j.starts[k + 1] - j.starts[k]);
+    const std::size_t at = j.starts[k] + within;
+    std::string bytes = j.bytes;
+    const auto mask = static_cast<unsigned char>(1 + rng.index(255));
+    bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ mask);
+    SCOPED_TRACE("flip at byte " + std::to_string(at) + " of frame " +
+                 std::to_string(k));
+    write_bytes(path, bytes);
+    if (within >= 4) {
+      // CRC or payload byte: the checksum catches it, more data follows.
+      EXPECT_THROW((void)scan_journal(path), util::CheckFailure);
+      EXPECT_THROW((void)recover(path, j.options), util::CheckFailure);
+      continue;
+    }
+    // A length byte: either the checksum fails mid-file, or the frame now
+    // runs past the end of the file and reads as a torn tail at frame k.
+    try {
+      const Recovered rec = recover(path, j.options);
+      EXPECT_TRUE(rec.torn_tail);
+      write_bytes(clean_path,
+                  std::string_view(j.bytes).substr(0, j.starts[k]));
+      const Recovered clean = recover(clean_path, j.options);
+      EXPECT_EQ(rec.last_seq, clean.last_seq);
+      EXPECT_EQ(snap_of(*rec.orch), snap_of(*clean.orch));
+      expect_controller_state_eq(rec.controller->state(),
+                                 clean.controller->state());
+    } catch (const util::CheckFailure&) {  // NOLINT(bugprone-empty-catch)
+    }
+  }
+}
+
+TEST(JournalAdversarial, EnvelopeIsAnExactBytePrefix) {
+  const std::string good =
+      R"({"v":1,"seq":0,"t":0,"kind":"reconcile","data":{}})";
+  const std::size_t second = 8 + good.size();
+  for (const std::string bad : {
+           R"({"seq":1,"v":1,"t":0,"kind":"reconcile","data":{}})",
+           R"({"v":1,"t":0,"seq":1,"kind":"reconcile","data":{}})",
+           R"({"v": 1,"seq":1,"t":0,"kind":"reconcile","data":{}})",
+           R"( {"v":1,"seq":1,"t":0,"kind":"reconcile","data":{}})",
+           R"({"v":1,"seq":1,"t":0,"kind":"reconcile","data": {}})",
+           R"({"v":1,"seq":1,"t":0,"kind":"reconcile","data":{} })",
+           R"({"v":1,"seq":1,"t":0,"kind":"reconcile","data":{}}  )",
+           R"({"v":1,"seq":1,"t":0,"kind":"reconcile"})",
+       }) {
+    SCOPED_TRACE(bad);
+    const std::string path = temp_path("envelope.journal");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      write_frame(out, good);
+      write_frame(out, bad);
+      write_frame(out, good);  // more data follows: not a torn tail
+    }
+    for (const bool via_recover : {false, true}) {
+      try {
+        if (via_recover) {
+          (void)recover(path, {});
+        } else {
+          (void)scan_journal(path);
+        }
+        ADD_FAILURE() << "accepted a malformed envelope";
+      } catch (const util::CheckFailure& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "offset " + std::to_string(second) + " "),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The writer never produces a kind the strict reader would refuse.
+  Journal journal(temp_path("envelope_kind.journal"));
+  EXPECT_THROW(journal.append("re\"pair", 1.0, io::Json(io::JsonObject{})),
+               util::CheckFailure);
 }
 
 }  // namespace

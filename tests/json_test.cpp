@@ -2,6 +2,10 @@
 // round-trips, escapes, numbers, and error reporting.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <type_traits>
+
 #include "io/json.h"
 
 namespace mecra::io {
@@ -36,6 +40,60 @@ TEST(Json, ObjectPreservesInsertionOrder) {
   EXPECT_EQ(obj.at("alpha").as_int(), 9);
   EXPECT_FALSE(obj.contains("nope"));
   EXPECT_THROW((void)obj.at("nope"), util::CheckFailure);
+}
+
+TEST(Json, DuplicateKeyKeepsFirstPositionAndTakesLastValue) {
+  JsonObject obj;
+  obj.set("a", Json(1));
+  obj.set("b", Json(2));
+  obj.set("a", Json(3));
+  EXPECT_EQ(obj.keys(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(obj.at("a").as_int(), 3);
+  EXPECT_EQ(Json(std::move(obj)).dump(), R"({"a":3,"b":2})");
+
+  // The parser follows the same rule.
+  const Json parsed = Json::parse(R"({"x":1,"y":2,"x":"last"})");
+  EXPECT_EQ(parsed.as_object().keys(), (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(parsed.as_object().at("x").as_string(), "last");
+  EXPECT_EQ(parsed.dump(), R"({"x":"last","y":2})");
+}
+
+TEST(Json, AtOnAMissingKeyThrows) {
+  const Json parsed = Json::parse(R"({"present":true})");
+  EXPECT_TRUE(parsed.as_object().contains("present"));
+  EXPECT_FALSE(parsed.as_object().contains("absent"));
+  EXPECT_THROW((void)parsed.as_object().at("absent"), util::CheckFailure);
+  EXPECT_THROW((void)JsonObject{}.at(""), util::CheckFailure);
+}
+
+TEST(Json, ThousandKeyObjectRoundTripsInInsertionOrder) {
+  JsonObject obj;
+  std::vector<std::string> keys;
+  for (int i = 999; i >= 0; --i) {  // descending: not sorted order
+    std::string key = "k";
+    key += std::to_string(i);
+    obj.set(key, Json(i));
+    keys.push_back(std::move(key));
+  }
+  const Json original(std::move(obj));
+  const Json reparsed = Json::parse(original.dump());
+  EXPECT_EQ(reparsed.as_object().keys(), keys);
+  EXPECT_EQ(reparsed.dump(), original.dump());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(reparsed.as_object().at(keys[i]).as_int(),
+              static_cast<std::int64_t>(999 - i));
+  }
+}
+
+TEST(Json, IsMoveOnly) {
+  static_assert(!std::is_copy_constructible_v<Json>);
+  static_assert(!std::is_copy_assignable_v<Json>);
+  static_assert(std::is_nothrow_move_constructible_v<Json>);
+  JsonObject obj;
+  obj.set("k", Json("v"));
+  Json a(std::move(obj));
+  Json b = std::move(a);
+  EXPECT_EQ(b.as_object().at("k").as_string(), "v");
 }
 
 // ------------------------------------------------------------------ dump
@@ -110,6 +168,20 @@ TEST(JsonParse, Errors) {
   EXPECT_THROW((void)Json::parse("\"unterminated"), util::CheckFailure);
   EXPECT_THROW((void)Json::parse("{\"a\" 1}"), util::CheckFailure);
   EXPECT_THROW((void)Json::parse("nan"), util::CheckFailure);
+}
+
+TEST(JsonParse, StringViewStopsAtTheViewsEnd) {
+  const std::string buffer = R"([1,{"a":2}]trailing)";
+  const std::string_view json = std::string_view(buffer).substr(0, 11);
+  EXPECT_EQ(Json::parse(json).dump(), R"([1,{"a":2}])");
+  // Trailing characters inside the view are still refused.
+  EXPECT_THROW((void)Json::parse(std::string_view(buffer).substr(0, 12)),
+               util::CheckFailure);
+  // A view that cuts a value short is an error, not a read past its end.
+  EXPECT_THROW((void)Json::parse(std::string_view(buffer).substr(0, 8)),
+               util::CheckFailure);
+  const std::string number = "12345";
+  EXPECT_EQ(Json::parse(std::string_view(number).substr(0, 2)).as_int(), 12);
 }
 
 TEST(JsonParse, ErrorsCarryOffsets) {
