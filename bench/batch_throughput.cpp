@@ -3,7 +3,8 @@
 // Measures requests/second of admitting a saturated arrival batch against
 // a large Waxman topology two ways. Both decide every request through the
 // orchestrator's one admission kernel (random primaries, the BMCGAP over
-// the hop oracle's N_l^+ balls, the matching heuristic):
+// the N_l^+ balls of MecNetwork::cloudlets_within, the matching
+// heuristic):
 //
 //   * "serial"  — the one-at-a-time Orchestrator::admit loop; primaries
 //     are drawn from every cloudlet, so each chain position scans the
@@ -240,9 +241,9 @@ int main(int argc, char** argv) {
            "sharded = Orchestrator::admit_batch at 1/2/4/8 threads "
            "(primaries first drawn from the home shard's interior "
            "cloudlets, the rest through the whole-network border pass). "
-           "Both run the same admission kernel with N_l^+ from the hop "
-           "oracle. Ratios are serial-normalized, so they transfer "
-           "across machines.");
+           "Both run the same admission kernel with N_l^+ from "
+           "MecNetwork::cloudlets_within. Ratios are serial-normalized, so "
+           "they transfer across machines.");
   root.set("reps", reps);
   root.set("requests", num_requests);
 

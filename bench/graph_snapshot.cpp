@@ -1,34 +1,35 @@
-// Machine-readable graph-core performance snapshot (ISSUE 7 perf harness).
+// Machine-readable graph-core performance snapshot.
 //
-// Builds the CSR graph + hierarchical hop oracle over three topology
-// scales (1k Waxman APs, 10k and 100k cell-bucketed geometric APs) and
-// measures, per scale:
+// Builds the CSR graph over three topology scales (1k Waxman APs, 10k and
+// 100k cell-bucketed geometric APs) and measures, per scale:
 //
-//   * build cost: CsrGraph + HopOracle wall time and index footprint
-//     (CSR bytes, confined-table bytes, leaf/boundary/overlay shape);
-//   * query throughput, oracle vs the pre-PR per-query BFS over the
-//     adjacency-list Graph, for the three hot predicates: l_hop_members
-//     (the paper's N_l(v)), within_l, and point-to-point hop_distance;
+//   * build cost: CsrGraph wall time and footprint;
+//   * query throughput of the paper's N_l^+(v) ball: the bounded walk
+//     graph::members_within against one full per-query BFS over the
+//     adjacency-list Graph plus a filter;
 //   * peak RSS — the 100k row doubles as proof that the index serves
 //     continental scale without any O(V^2) table.
 //
 // Every measured query is also checked against the BFS answer, so the
-// snapshot doubles as an end-to-end equivalence run.
+// snapshot doubles as an end-to-end equivalence run. The query JSON keeps
+// its `oracle_ms` / `oracle_qps` key names for the bounded walk, so older
+// snapshots stay comparable.
 //
 // Flags (same scheme as perf_snapshot / batch_throughput):
 //   --out <path>            output path (default BENCH_graph.json)
 //   --quick                 fewer queries per op (CI mode; still builds
 //                           the 100k index — that is the smoke test)
 //   --queries <n>           override queries per op
-//   --check-against <path>  compare baseline-normalized oracle time
+//   --check-against <path>  compare baseline-normalized bounded-walk time
 //                           (oracle_ms / bfs_ms, host speed cancels)
 //                           against a committed snapshot; exit non-zero
-//                           on regression beyond --regression-factor
+//                           on regression beyond --regression-factor, or
+//                           when a committed topology or query is missing
+//                           from the fresh run
 //   --regression-factor <x> regression threshold (default 2.0)
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <memory>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -37,7 +38,6 @@
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
-#include "graph/hop_oracle.h"
 #include "graph/topology.h"
 #include "io/json.h"
 #include "util/check.h"
@@ -51,14 +51,9 @@ using namespace mecra;
 
 struct Workload {
   std::string key;
-  graph::Graph legacy;  // the pre-PR adjacency-list representation
-  // Heap-allocated so its address survives moving the Workload: the oracle
-  // holds a pointer to the CsrGraph it was built from (same reason
-  // MecNetwork shares its index through shared_ptr).
-  std::shared_ptr<const graph::CsrGraph> csr;
-  graph::HopOracle oracle;
+  graph::Graph legacy;  // the adjacency-list representation
+  graph::CsrGraph csr;
   double csr_build_ms = 0.0;
-  double oracle_build_ms = 0.0;
 };
 
 Workload make_workload(const std::string& key, graph::Graph g) {
@@ -66,12 +61,8 @@ Workload make_workload(const std::string& key, graph::Graph g) {
   w.key = key;
   w.legacy = std::move(g);
   util::Timer csr_timer;
-  w.csr = std::make_shared<const graph::CsrGraph>(
-      graph::CsrGraph::build(w.legacy));
+  w.csr = graph::CsrGraph::build(w.legacy);
   w.csr_build_ms = csr_timer.elapsed_ms();
-  util::Timer oracle_timer;
-  w.oracle = graph::HopOracle::build(*w.csr);
-  w.oracle_build_ms = oracle_timer.elapsed_ms();
   return w;
 }
 
@@ -79,17 +70,11 @@ struct QueryResult {
   std::string key;
   std::size_t queries = 0;
   double bfs_ms = 0.0;
-  double oracle_ms = 0.0;
+  double bounded_ms = 0.0;
 };
 
-/// The pre-PR answer to N_l(v): one full-network BFS, then filter.
-std::vector<graph::NodeId> bfs_l_hop(const graph::Graph& g, graph::NodeId v,
-                                     std::uint32_t l) {
-  return graph::l_hop_neighbors(g, v, l);
-}
-
-QueryResult measure_l_hop_members(const Workload& w, std::uint32_t l,
-                                  std::size_t queries) {
+QueryResult measure_members_within(const Workload& w, std::uint32_t l,
+                                   std::size_t queries) {
   util::Rng rng(0xA11CE);
   std::vector<graph::NodeId> sources(queries);
   for (auto& v : sources) {
@@ -99,101 +84,28 @@ QueryResult measure_l_hop_members(const Workload& w, std::uint32_t l,
   r.key = "l_hop_members_l" + std::to_string(l);
   r.queries = queries;
   std::size_t bfs_sum = 0;
-  std::size_t oracle_sum = 0;
+  std::size_t bounded_sum = 0;
   {
     const util::Timer t;
-    for (graph::NodeId v : sources) bfs_sum += bfs_l_hop(w.legacy, v, l).size();
+    for (graph::NodeId v : sources) {
+      const auto dist = graph::bfs_hops(w.legacy, v);
+      std::vector<graph::NodeId> ball;
+      for (graph::NodeId u = 0; u < dist.size(); ++u) {
+        if (dist[u] <= l) ball.push_back(u);
+      }
+      bfs_sum += ball.size();
+    }
     r.bfs_ms = t.elapsed_ms();
   }
   {
     const util::Timer t;
     for (graph::NodeId v : sources) {
-      oracle_sum += w.oracle.l_hop_members(v, l).size();
+      bounded_sum += graph::members_within(w.csr, v, l).size();
     }
-    r.oracle_ms = t.elapsed_ms();
+    r.bounded_ms = t.elapsed_ms();
   }
-  MECRA_CHECK_MSG(bfs_sum == oracle_sum,
-                  "oracle l_hop_members diverged from BFS");
-  return r;
-}
-
-QueryResult measure_within_l(const Workload& w, std::uint32_t l,
-                             std::size_t queries) {
-  util::Rng rng(0xB0B);
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs(queries);
-  for (auto& [u, v] : pairs) {
-    u = static_cast<graph::NodeId>(rng.index(w.legacy.num_nodes()));
-    // Half the probes target the ball, half the far field.
-    if (rng.uniform01() < 0.5) {
-      const auto ball = w.oracle.members_within(u, l);
-      v = ball[rng.index(ball.size())];
-    } else {
-      v = static_cast<graph::NodeId>(rng.index(w.legacy.num_nodes()));
-    }
-  }
-  QueryResult r;
-  r.key = "within_l_l" + std::to_string(l);
-  r.queries = queries;
-  std::vector<char> bfs_ans(queries);
-  std::vector<char> oracle_ans(queries);
-  {
-    const util::Timer t;
-    for (std::size_t i = 0; i < queries; ++i) {
-      const auto hops = graph::bfs_hops(w.legacy, pairs[i].first);
-      const auto h = hops[pairs[i].second];
-      bfs_ans[i] = (h != graph::kUnreachable && h <= l) ? 1 : 0;
-    }
-    r.bfs_ms = t.elapsed_ms();
-  }
-  {
-    const util::Timer t;
-    for (std::size_t i = 0; i < queries; ++i) {
-      oracle_ans[i] =
-          w.oracle.within_l(pairs[i].first, pairs[i].second, l) ? 1 : 0;
-    }
-    r.oracle_ms = t.elapsed_ms();
-  }
-  MECRA_CHECK_MSG(bfs_ans == oracle_ans, "oracle within_l diverged from BFS");
-  return r;
-}
-
-/// `near` draws the target from u's 4-hop ball — the promotion / latency
-/// query shape (backups sit within l of their primary); far pairs are the
-/// uniform worst case, where the overlay walk only matches BFS.
-QueryResult measure_hop_distance(const Workload& w, bool near,
-                                 std::size_t queries) {
-  util::Rng rng(0xD157);
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs(queries);
-  for (auto& [u, v] : pairs) {
-    u = static_cast<graph::NodeId>(rng.index(w.legacy.num_nodes()));
-    if (near) {
-      const auto ball = w.oracle.members_within(u, 4);
-      v = ball[rng.index(ball.size())];
-    } else {
-      v = static_cast<graph::NodeId>(rng.index(w.legacy.num_nodes()));
-    }
-  }
-  QueryResult r;
-  r.key = near ? "hop_distance_near" : "hop_distance_far";
-  r.queries = queries;
-  std::vector<std::uint32_t> bfs_ans(queries);
-  std::vector<std::uint32_t> oracle_ans(queries);
-  {
-    const util::Timer t;
-    for (std::size_t i = 0; i < queries; ++i) {
-      bfs_ans[i] = graph::bfs_hops(w.legacy, pairs[i].first)[pairs[i].second];
-    }
-    r.bfs_ms = t.elapsed_ms();
-  }
-  {
-    const util::Timer t;
-    for (std::size_t i = 0; i < queries; ++i) {
-      oracle_ans[i] = w.oracle.hop_distance(pairs[i].first, pairs[i].second);
-    }
-    r.oracle_ms = t.elapsed_ms();
-  }
-  MECRA_CHECK_MSG(bfs_ans == oracle_ans,
-                  "oracle hop_distance diverged from BFS");
+  MECRA_CHECK_MSG(bfs_sum == bounded_sum,
+                  "members_within diverged from BFS");
   return r;
 }
 
@@ -202,12 +114,13 @@ io::Json to_json(const QueryResult& r) {
   o.set("key", r.key);
   o.set("queries", r.queries);
   o.set("bfs_ms", r.bfs_ms);
-  o.set("oracle_ms", r.oracle_ms);
-  const double speedup = r.oracle_ms > 0.0 ? r.bfs_ms / r.oracle_ms : 0.0;
+  o.set("oracle_ms", r.bounded_ms);
+  const double speedup = r.bounded_ms > 0.0 ? r.bfs_ms / r.bounded_ms : 0.0;
   o.set("speedup", speedup);
-  o.set("oracle_qps", r.oracle_ms > 0.0 ? 1e3 * static_cast<double>(r.queries) /
-                                              r.oracle_ms
-                                        : 0.0);
+  o.set("oracle_qps",
+        r.bounded_ms > 0.0
+            ? 1e3 * static_cast<double>(r.queries) / r.bounded_ms
+            : 0.0);
   return io::Json(std::move(o));
 }
 
@@ -229,41 +142,51 @@ int check_against(const io::Json& fresh, const std::string& path,
   const io::Json committed = io::Json::parse(buf.str());
 
   int failures = 0;
-  const auto& committed_runs = committed.as_object().at("topologies").as_array();
+  // Every committed topology and query must have a fresh match: an entry
+  // the bench no longer measures fails instead of going unchecked.
+  const auto find_key = [](const io::JsonArray& entries,
+                           const std::string& key) -> const io::JsonObject* {
+    for (const auto& e : entries) {
+      if (e.as_object().at("key").as_string() == key) return &e.as_object();
+    }
+    return nullptr;
+  };
   const auto& fresh_runs = fresh.as_object().at("topologies").as_array();
-  for (const auto& committed_run : committed_runs) {
+  for (const auto& committed_run :
+       committed.as_object().at("topologies").as_array()) {
     const auto& cobj = committed_run.as_object();
     const std::string& key = cobj.at("key").as_string();
-    const io::JsonObject* fobj = nullptr;
-    for (const auto& fr : fresh_runs) {
-      if (fr.as_object().at("key").as_string() == key) {
-        fobj = &fr.as_object();
-        break;
-      }
+    const io::JsonObject* fobj = find_key(fresh_runs, key);
+    if (fobj == nullptr) {
+      std::cout << "MISSING   " << key << "  (committed, not measured)\n";
+      ++failures;
+      continue;
     }
-    if (fobj == nullptr) continue;
-    const auto& committed_queries = cobj.at("queries").as_array();
     const auto& fresh_queries = fobj->at("queries").as_array();
-    for (const auto& cq : committed_queries) {
+    for (const auto& cq : cobj.at("queries").as_array()) {
       const std::string& qkey = cq.as_object().at("key").as_string();
-      for (const auto& fq : fresh_queries) {
-        if (fq.as_object().at("key").as_string() != qkey) continue;
-        // Compare BASELINE-NORMALIZED oracle time (oracle_ms / bfs_ms):
-        // both run in the same process on the same machine, so host speed
-        // cancels and the committed snapshot is portable to CI runners.
-        const auto relative = [](const io::JsonObject& q) {
-          const double bfs = q.at("bfs_ms").as_double();
-          const double oracle = q.at("oracle_ms").as_double();
-          return bfs > 0.0 ? oracle / bfs : 1.0;
-        };
-        const double committed_rel = relative(cq.as_object());
-        const double fresh_rel = relative(fq.as_object());
-        const bool regressed = fresh_rel > factor * committed_rel;
-        std::cout << (regressed ? "REGRESSED " : "ok        ") << key << "/"
-                  << qkey << "  committed oracle/bfs=" << committed_rel
-                  << " fresh oracle/bfs=" << fresh_rel << "\n";
-        failures += regressed ? 1 : 0;
+      const io::JsonObject* fq = find_key(fresh_queries, qkey);
+      if (fq == nullptr) {
+        std::cout << "MISSING   " << key << "/" << qkey
+                  << "  (committed, not measured)\n";
+        ++failures;
+        continue;
       }
+      // Compare BASELINE-NORMALIZED time (oracle_ms / bfs_ms): both run in
+      // the same process on the same machine, so host speed cancels and
+      // the committed snapshot is portable to CI runners.
+      const auto relative = [](const io::JsonObject& q) {
+        const double bfs = q.at("bfs_ms").as_double();
+        const double bounded = q.at("oracle_ms").as_double();
+        return bfs > 0.0 ? bounded / bfs : 1.0;
+      };
+      const double committed_rel = relative(cq.as_object());
+      const double fresh_rel = relative(*fq);
+      const bool regressed = fresh_rel > factor * committed_rel;
+      std::cout << (regressed ? "REGRESSED " : "ok        ") << key << "/"
+                << qkey << "  committed oracle_ms/bfs_ms=" << committed_rel
+                << " fresh oracle_ms/bfs_ms=" << fresh_rel << "\n";
+      failures += regressed ? 1 : 0;
     }
   }
   return failures == 0 ? 0 : 1;
@@ -280,14 +203,15 @@ int main(int argc, char** argv) {
   io::JsonObject root;
   root.set("schema", "mecra-graph-snapshot-v1");
   root.set("description",
-           "CSR graph + hierarchical hop oracle vs the pre-PR per-query "
-           "adjacency-list BFS. speedup = bfs_ms / oracle_ms on identical "
-           "query streams; every answer is cross-checked.");
+           "CSR graph + bounded N_l^+ walk (graph::members_within, timed as "
+           "oracle_ms) vs one per-query adjacency-list BFS plus a filter. "
+           "speedup = bfs_ms / oracle_ms on identical query streams; every "
+           "answer is cross-checked.");
   root.set("queries_per_op", queries);
   root.set("quick", quick);
 
   io::JsonArray topologies;
-  std::cout << "topology     op                  bfs total   oracle tot  "
+  std::cout << "topology     op                  bfs total   bounded tot "
                "speedup\n";
   for (const std::string& key : {std::string("1k"), std::string("10k"),
                                  std::string("100k")}) {
@@ -311,29 +235,18 @@ int main(int argc, char** argv) {
     entry.set("nodes", w.legacy.num_nodes());
     entry.set("edges", w.legacy.num_edges());
     {
-      const auto& s = w.oracle.stats();
       io::JsonObject build;
       build.set("csr_ms", w.csr_build_ms);
-      build.set("oracle_ms", w.oracle_build_ms);
-      build.set("csr_bytes", w.csr->memory_bytes());
-      build.set("conf_bytes", s.conf_bytes);
-      build.set("num_leaves", s.num_leaves);
-      build.set("boundary_nodes", s.boundary_nodes);
-      build.set("overlay_edges", s.overlay_edges);
-      build.set("tree_depth", s.tree_depth);
-      build.set("max_leaf_size", s.max_leaf_size);
+      build.set("csr_bytes", w.csr.memory_bytes());
       entry.set("build", io::Json(std::move(build)));
     }
 
     io::JsonArray query_results;
-    for (const QueryResult& r :
-         {measure_l_hop_members(w, 2, queries),
-          measure_within_l(w, 2, queries),
-          measure_hop_distance(w, /*near=*/true, queries),
-          measure_hop_distance(w, /*near=*/false, queries)}) {
+    {
+      const QueryResult r = measure_members_within(w, 2, queries);
       std::printf("%-12s %-18s %9.2fms %9.2fms %8.1fx\n", w.key.c_str(),
-                  r.key.c_str(), r.bfs_ms, r.oracle_ms,
-                  r.oracle_ms > 0.0 ? r.bfs_ms / r.oracle_ms : 0.0);
+                  r.key.c_str(), r.bfs_ms, r.bounded_ms,
+                  r.bounded_ms > 0.0 ? r.bfs_ms / r.bounded_ms : 0.0);
       query_results.push_back(to_json(r));
     }
     entry.set("queries", io::Json(std::move(query_results)));

@@ -1,12 +1,13 @@
 // Microbenchmarks for the graph substrate: topology generation (the GT-ITM
 // Waxman model the experiments use plus the cell-bucketed geometric model
-// for 100k+ APs), BFS neighborhoods, the CSR/oracle index, and the full
-// scenario builder.
+// for 100k+ APs), BFS neighborhoods, the CSR index with its bounded N_l^+
+// query, and the full scenario builder.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
-#include "graph/hop_oracle.h"
 #include "graph/topology.h"
 #include "sim/workload.h"
 
@@ -51,9 +52,15 @@ void BM_LHopNeighborhoods(benchmark::State& state) {
   util::Rng rng(7);
   const auto t = graph::waxman({.num_nodes = 100}, rng);
   const auto l = static_cast<std::uint32_t>(state.range(0));
+  // N_l(v) as one full BFS plus a filter (the unbounded form of
+  // graph::members_within, timed in BM_MembersWithin).
   for (auto _ : state) {
     for (graph::NodeId v = 0; v < 100; ++v) {
-      auto n = graph::l_hop_neighbors(t.graph, v, l);
+      const auto dist = graph::bfs_hops(t.graph, v);
+      std::vector<graph::NodeId> n;
+      for (graph::NodeId u = 0; u < dist.size(); ++u) {
+        if (u != v && dist[u] <= l) n.push_back(u);
+      }
       benchmark::DoNotOptimize(n.size());
     }
   }
@@ -85,51 +92,19 @@ void BM_CsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrBuild)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_HopOracleBuild(benchmark::State& state) {
+void BM_MembersWithin(benchmark::State& state) {
   util::Rng rng(7);
   const auto t = graph::random_geometric(
       {.num_nodes = static_cast<std::size_t>(state.range(0))}, rng);
   const auto csr = graph::CsrGraph::build(t.graph);
-  for (auto _ : state) {
-    auto oracle = graph::HopOracle::build(csr);
-    benchmark::DoNotOptimize(oracle.stats().num_leaves);
-  }
-}
-BENCHMARK(BM_HopOracleBuild)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_OracleLHopMembers(benchmark::State& state) {
-  util::Rng rng(7);
-  const auto t = graph::random_geometric(
-      {.num_nodes = static_cast<std::size_t>(state.range(0))}, rng);
-  const auto csr = graph::CsrGraph::build(t.graph);
-  const auto oracle = graph::HopOracle::build(csr);
   graph::NodeId v = 0;
   for (auto _ : state) {
-    auto n = oracle.l_hop_members(v, 2);
+    auto n = graph::members_within(csr, v, 2);
     benchmark::DoNotOptimize(n.size());
     v = (v + 9973) % static_cast<graph::NodeId>(t.graph.num_nodes());
   }
 }
-BENCHMARK(BM_OracleLHopMembers)->Arg(10000)->Arg(100000);
-
-void BM_OracleHopDistance(benchmark::State& state) {
-  util::Rng rng(7);
-  const auto t = graph::random_geometric(
-      {.num_nodes = static_cast<std::size_t>(state.range(0))}, rng);
-  const auto csr = graph::CsrGraph::build(t.graph);
-  const auto oracle = graph::HopOracle::build(csr);
-  const auto n = static_cast<graph::NodeId>(t.graph.num_nodes());
-  graph::NodeId u = 0;
-  for (auto _ : state) {
-    auto d = oracle.hop_distance(u, (u * 31 + 17) % n);
-    benchmark::DoNotOptimize(d);
-    u = (u + 9973) % n;
-  }
-}
-BENCHMARK(BM_OracleHopDistance)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_MembersWithin)->Arg(10000)->Arg(100000);
 
 void BM_ScenarioBuild(benchmark::State& state) {
   sim::ScenarioParams params;

@@ -96,9 +96,9 @@ struct BmcgapOptions {
 };
 
 /// Builds the instance against the network's CURRENT residual capacities;
-/// each candidate set is MecNetwork::cloudlets_within(primary, l_hops), the
-/// hop oracle's ball. `primaries.length()` must equal `request.length()`,
-/// and every primary must sit on a cloudlet node.
+/// each candidate set is MecNetwork::cloudlets_within(primary, l_hops).
+/// `primaries.length()` must equal `request.length()`, and every primary
+/// must sit on a cloudlet node.
 [[nodiscard]] BmcgapInstance build_bmcgap(
     const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     const mec::SfcRequest& request,

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/algorithms.h"
-#include "graph/hop_oracle.h"
 
 namespace mecra::core {
 
@@ -14,7 +13,7 @@ UpdateLatencyStats update_latency(const mec::MecNetwork& network,
   UpdateLatencyStats stats;
   if (result.placements.empty()) return stats;
 
-  // One early-terminating oracle walk per distinct primary cloudlet: the
+  // One early-terminating walk per distinct primary cloudlet: the
   // secondaries all sit within the paper's l bound of their primary, so the
   // walk settles them after O(|ball|) work instead of a full-network BFS.
   std::map<graph::NodeId, std::vector<graph::NodeId>> targets_of;
@@ -24,7 +23,7 @@ UpdateLatencyStats update_latency(const mec::MecNetwork& network,
   std::map<graph::NodeId, std::vector<std::uint32_t>> hops_of;
   for (auto& [primary, targets] : targets_of) {
     hops_of.emplace(primary,
-                    network.oracle().hops_to_targets(primary, targets));
+                    graph::hops_to_targets(network.csr(), primary, targets));
   }
 
   double total = 0.0;

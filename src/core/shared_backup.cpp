@@ -40,6 +40,8 @@ SharedPlan plan_shared_backups(const mec::MecNetwork& network,
                     "primaries must cover the whole chain");
     fail[j].resize(adm.request.length());
     for (std::size_t p = 0; p < adm.request.length(); ++p) {
+      MECRA_CHECK_MSG(network.is_cloudlet(adm.primaries.cloudlet_of[p]),
+                      "a primary instance must sit on a cloudlet");
       const double r = catalog.function(adm.request.chain[p]).reliability;
       fail[j][p] = 1.0 - r;
       ln_u[j] += std::log(std::max(1e-300, r));
@@ -57,15 +59,12 @@ SharedPlan plan_shared_backups(const mec::MecNetwork& network,
   };
   std::vector<Candidate> candidates;
   {
-    // One bounded l-ball per cloudlet from the hop oracle (the pre-oracle
-    // code materialized a full |cloudlets| x V hop matrix — an all-pairs
-    // table in disguise that capped topology size). A primary is served by
-    // u exactly when it lies in ball(u, l); the ball is sorted, so each
-    // membership test is one binary search.
-    const auto& cloudlets = network.cloudlets();
-    for (std::size_t c = 0; c < cloudlets.size(); ++c) {
-      const graph::NodeId u = cloudlets[c];
-      const auto ball = network.oracle().members_within(u, options.l_hops);
+    // A primary is served by cloudlet u exactly when it lies within l hops
+    // of u, i.e. in N_l^+(u). Primaries sit on cloudlets (checked above),
+    // so the cloudlets of that ball answer the same membership test; the
+    // list is sorted, so each test is one binary search.
+    for (const graph::NodeId u : network.cloudlets()) {
+      const auto ball = network.cloudlets_within(u, options.l_hops);
       std::vector<std::vector<ServedSlot>> by_function(catalog.size());
       for (std::size_t j = 0; j < admitted.size(); ++j) {
         const auto& adm = admitted[j];

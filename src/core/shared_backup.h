@@ -64,8 +64,9 @@ struct SharedBackupOptions {
 /// Greedy shared-backup planning: repeatedly places the (function,
 /// cloudlet) secondary with the largest total capped ln-reliability gain
 /// summed over every request it can serve, until every expectation is met,
-/// nothing helps, or capacity runs out. Does NOT mutate the network; apply
-/// with apply_shared_plan.
+/// nothing helps, or capacity runs out. Every primary must sit on a
+/// cloudlet node. Does NOT mutate the network; apply with
+/// apply_shared_plan.
 [[nodiscard]] SharedPlan plan_shared_backups(
     const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     std::span<const AdmittedRequest> admitted,

@@ -1,7 +1,6 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "graph/csr.h"
 
@@ -9,10 +8,10 @@ namespace mecra::graph {
 
 namespace {
 
-// The traversal algorithms are representation-agnostic: both Graph and
-// CsrGraph expose num_nodes()/neighbors()/neighbor_weights() with identical
-// (sorted) neighbor order, so one template serves both and the overloads
-// are guaranteed to agree bit for bit.
+// The full traversals are representation-agnostic: both Graph and CsrGraph
+// expose num_nodes()/neighbors() with identical (sorted) neighbor order, so
+// one template serves both and the overloads are guaranteed to agree bit
+// for bit.
 
 template <typename G>
 std::vector<std::uint32_t> bfs_hops_impl(const G& g, NodeId source) {
@@ -35,20 +34,6 @@ std::vector<std::uint32_t> bfs_hops_impl(const G& g, NodeId source) {
 }
 
 template <typename G>
-std::vector<NodeId> l_hop_neighbors_impl(const G& g, NodeId v,
-                                         std::uint32_t l) {
-  MECRA_CHECK(l >= 1);
-  auto dist = bfs_hops_impl(g, v);
-  std::vector<NodeId> out;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (u != v && dist[u] != kUnreachable && dist[u] <= l) {
-      out.push_back(u);
-    }
-  }
-  return out;  // ascending by construction
-}
-
-template <typename G>
 bool is_connected_impl(const G& g) {
   if (g.num_nodes() <= 1) return true;
   auto dist = bfs_hops_impl(g, 0);
@@ -56,61 +41,56 @@ bool is_connected_impl(const G& g) {
                       [](std::uint32_t d) { return d == kUnreachable; });
 }
 
-template <typename G>
-std::vector<std::uint32_t> connected_components_impl(const G& g) {
-  std::vector<std::uint32_t> label(g.num_nodes(), kUnreachable);
-  std::uint32_t next = 0;
-  std::vector<NodeId> frontier;
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    if (label[s] != kUnreachable) continue;
-    label[s] = next;
-    frontier.clear();
-    frontier.push_back(s);
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-      const NodeId u = frontier[head];
-      for (NodeId w : g.neighbors(u)) {
-        if (label[w] == kUnreachable) {
-          label[w] = next;
-          frontier.push_back(w);
-        }
-      }
-    }
-    ++next;
+/// Per-thread scratch of the bounded queries: epoch stamps make clearing
+/// O(1) per query, so a walk touches only the nodes it settles and never
+/// pays an O(V) reset or allocation.
+struct Scratch {
+  std::vector<std::uint32_t> stamp;  // stamp[v] == epoch => dist[v] valid
+  std::vector<std::uint32_t> dist;
+  std::vector<std::uint32_t> mark;   // second stamp lane (target marking)
+  std::vector<NodeId> queue;
+  std::uint32_t epoch = 0;
+};
+
+/// The calling thread's scratch, sized for `n` nodes, with a fresh epoch.
+Scratch& fresh_scratch(std::size_t n) {
+  thread_local Scratch s;
+  if (s.stamp.size() < n) {
+    s.stamp.resize(n, 0);
+    s.dist.resize(n);
+    s.mark.resize(n, 0);
   }
-  return label;
+  if (++s.epoch == 0) {  // wrapped after 2^32 queries: hard reset once
+    std::fill(s.stamp.begin(), s.stamp.end(), 0);
+    std::fill(s.mark.begin(), s.mark.end(), 0);
+    s.epoch = 1;
+  }
+  return s;
 }
 
-template <typename G>
-DijkstraResult dijkstra_impl(const G& g, NodeId source) {
-  MECRA_CHECK(source < g.num_nodes());
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  DijkstraResult r;
-  r.distance.assign(g.num_nodes(), kInf);
-  r.parent.resize(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) r.parent[v] = v;
-
-  using Item = std::pair<double, NodeId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  r.distance[source] = 0.0;
-  heap.emplace(0.0, source);
-  while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
-    if (d > r.distance[u]) continue;  // stale entry
-    const auto nbrs = g.neighbors(u);
-    const auto wts = g.neighbor_weights(u);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const NodeId w = nbrs[i];
-      MECRA_DCHECK(wts[i] >= 0.0);
-      const double cand = d + wts[i];
-      if (cand < r.distance[w]) {
-        r.distance[w] = cand;
-        r.parent[w] = u;
-        heap.emplace(cand, w);
-      }
+/// The one bounded BFS: settles nodes from `source` in hop order, stamping
+/// each with s.epoch and its distance; nodes at `max_hops` are settled but
+/// not expanded, and the walk ends as soon as `done(node)` returns true
+/// for a newly settled node.
+template <typename Done>
+void bounded_bfs(const CsrGraph& g, Scratch& s, NodeId source,
+                 std::uint32_t max_hops, Done done) {
+  s.queue.clear();
+  s.queue.push_back(source);
+  s.stamp[source] = s.epoch;
+  s.dist[source] = 0;
+  if (done(source)) return;
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const NodeId x = s.queue[head];
+    if (s.dist[x] >= max_hops) return;  // the queue is sorted by distance
+    for (NodeId w : g.neighbors(x)) {
+      if (s.stamp[w] == s.epoch) continue;
+      s.stamp[w] = s.epoch;
+      s.dist[w] = s.dist[x] + 1;
+      s.queue.push_back(w);
+      if (done(w)) return;
     }
   }
-  return r;
 }
 
 }  // namespace
@@ -123,63 +103,43 @@ std::vector<std::uint32_t> bfs_hops(const CsrGraph& g, NodeId source) {
   return bfs_hops_impl(g, source);
 }
 
-std::vector<std::vector<std::uint32_t>> all_pairs_hops(const Graph& g) {
-  MECRA_CHECK_MSG(g.num_nodes() <= kAllPairsMaxNodes,
-                  "all_pairs_hops would allocate an O(V^2) matrix; use "
-                  "HopOracle or per-source bfs_hops for large topologies");
-  std::vector<std::vector<std::uint32_t>> result;
-  result.reserve(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    result.push_back(bfs_hops(g, v));
+std::vector<NodeId> members_within(const CsrGraph& g, NodeId v,
+                                   std::uint32_t l) {
+  MECRA_CHECK(v < g.num_nodes());
+  Scratch& s = fresh_scratch(g.num_nodes());
+  bounded_bfs(g, s, v, l, [](NodeId) { return false; });
+  std::vector<NodeId> out(s.queue.begin(), s.queue.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::uint32_t> hops_to_targets(const CsrGraph& g, NodeId source,
+                                           std::span<const NodeId> targets) {
+  MECRA_CHECK(source < g.num_nodes());
+  std::vector<std::uint32_t> out(targets.size(), kUnreachable);
+  if (targets.empty()) return out;
+
+  Scratch& s = fresh_scratch(g.num_nodes());
+  std::size_t remaining = 0;  // distinct targets not yet settled
+  for (const NodeId t : targets) {
+    MECRA_CHECK(t < g.num_nodes());
+    if (s.mark[t] != s.epoch) {
+      s.mark[t] = s.epoch;
+      ++remaining;
+    }
   }
-  return result;
-}
-
-std::vector<NodeId> l_hop_neighbors(const Graph& g, NodeId v,
-                                    std::uint32_t l) {
-  return l_hop_neighbors_impl(g, v, l);
-}
-
-std::vector<NodeId> l_hop_neighbors(const CsrGraph& g, NodeId v,
-                                    std::uint32_t l) {
-  return l_hop_neighbors_impl(g, v, l);
+  bounded_bfs(g, s, source, kUnreachable, [&](NodeId w) {
+    return s.mark[w] == s.epoch && --remaining == 0;
+  });
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (s.stamp[targets[i]] == s.epoch) out[i] = s.dist[targets[i]];
+  }
+  return out;
 }
 
 bool is_connected(const Graph& g) { return is_connected_impl(g); }
 
 bool is_connected(const CsrGraph& g) { return is_connected_impl(g); }
-
-std::vector<std::uint32_t> connected_components(const Graph& g) {
-  return connected_components_impl(g);
-}
-
-std::vector<std::uint32_t> connected_components(const CsrGraph& g) {
-  return connected_components_impl(g);
-}
-
-DijkstraResult dijkstra(const Graph& g, NodeId source) {
-  return dijkstra_impl(g, source);
-}
-
-DijkstraResult dijkstra(const CsrGraph& g, NodeId source) {
-  return dijkstra_impl(g, source);
-}
-
-std::vector<NodeId> extract_path(const DijkstraResult& r, NodeId source,
-                                 NodeId target) {
-  MECRA_CHECK(source < r.parent.size() && target < r.parent.size());
-  if (r.distance[target] == std::numeric_limits<double>::infinity()) return {};
-  std::vector<NodeId> path{target};
-  NodeId cur = target;
-  while (cur != source) {
-    NodeId p = r.parent[cur];
-    MECRA_CHECK_MSG(p != cur, "broken parent chain");
-    path.push_back(p);
-    cur = p;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
 
 DisjointSets::DisjointSets(std::size_t n)
     : parent_(n), size_(n, 1), num_sets_(n) {
@@ -204,31 +164,6 @@ bool DisjointSets::unite(std::size_t x, std::size_t y) {
   size_[rx] += size_[ry];
   --num_sets_;
   return true;
-}
-
-std::vector<Edge> minimum_spanning_forest(std::size_t num_nodes,
-                                          std::vector<Edge> candidate_edges) {
-  std::sort(candidate_edges.begin(), candidate_edges.end(),
-            [](const Edge& a, const Edge& b) {
-              // Equal weights are the COMMON case (hop metrics weigh every
-              // edge 1.0), and Kruskal picks whichever ties come first, so
-              // a weight-only comparator makes the forest depend on
-              // std::sort's implementation-defined tie order. Break ties
-              // on (u, v) to make the result a pure function of the edge
-              // SET — input permutation must not change the forest.
-              if (a.weight != b.weight) return a.weight < b.weight;
-              if (a.u != b.u) return a.u < b.u;
-              return a.v < b.v;
-            });
-  DisjointSets dsu(num_nodes);
-  std::vector<Edge> chosen;
-  for (const Edge& e : candidate_edges) {
-    if (dsu.unite(e.u, e.v)) {
-      chosen.push_back(e);
-      if (chosen.size() + 1 == num_nodes) break;
-    }
-  }
-  return chosen;
 }
 
 }  // namespace mecra::graph

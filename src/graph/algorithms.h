@@ -1,11 +1,28 @@
-// Classic graph algorithms the MEC model needs: BFS hop distances (for the
-// paper's l-hop neighborhoods N_l(v)), connectivity, Dijkstra shortest paths
-// (for the admission DAG), and a minimum spanning tree (for connectivity
-// repair in the topology generators).
+// The graph algorithms the MEC model needs: BFS hop distances,
+// connectivity, union-find (for connectivity repair in the topology
+// generators), and the two bounded hop queries the paper's placement rules
+// ask of a CsrGraph: the ball N_l^+(v) (every backup of a primary at v sits
+// in it, Section 4.2) and the hop counts from a failed primary to its
+// standbys (promotion picks the nearest, latency reports count hops).
+//
+// The bounded queries share one breadth-first loop over the packed CSR
+// arrays with epoch-stamped scratch, so a query costs O(|ball|) — the
+// nodes it settles — with no O(V) reset or steady-state allocation.
+//
+// Thread safety: the free functions' results depend only on their
+// arguments, and they are safe from any thread against one shared graph.
+//
+// Lock discipline: the bounded queries' only mutable state is their
+// thread_local scratch, never shared, so concurrent queries need no mutex.
+// Keep it that way: any state a query could write must either stay
+// thread_local or become MECRA_GUARDED_BY a util::Mutex
+// (util/thread_annotations.h) so the clang -Wthread-safety build proves
+// the new protocol instead of TSan sampling it.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -26,50 +43,23 @@ inline constexpr std::uint32_t kUnreachable =
 [[nodiscard]] std::vector<std::uint32_t> bfs_hops(const CsrGraph& g,
                                                   NodeId source);
 
-/// All-pairs hop distances; result[u][v]. O(V·(V+E)) time AND O(V²) memory:
-/// guarded by kAllPairsMaxNodes so a 100k-AP scenario cannot silently
-/// allocate a 10^10-entry matrix — large topologies must go through
-/// HopOracle queries or per-source bfs_hops instead.
-inline constexpr std::size_t kAllPairsMaxNodes = 8192;
-[[nodiscard]] std::vector<std::vector<std::uint32_t>> all_pairs_hops(
-    const Graph& g);
+/// N_l^+(v): nodes within `l` hops of `v` INCLUDING v, ascending. Equal to
+/// filtering bfs_hops(g, v) by `<= l`; l == 0 yields {v}.
+[[nodiscard]] std::vector<NodeId> members_within(const CsrGraph& g, NodeId v,
+                                                 std::uint32_t l);
 
-/// The paper's N_l(v): nodes within `l` hops of `v`, EXCLUDING v itself,
-/// sorted ascending. N_l^+(v) is this plus v.
-[[nodiscard]] std::vector<NodeId> l_hop_neighbors(const Graph& g, NodeId v,
-                                                  std::uint32_t l);
-[[nodiscard]] std::vector<NodeId> l_hop_neighbors(const CsrGraph& g, NodeId v,
-                                                  std::uint32_t l);
+/// Hop distances from `source` to each of `targets` (kUnreachable when
+/// disconnected), parallel to `targets`; duplicates and `source` itself are
+/// allowed. The walk stops as soon as every target is settled, so near
+/// targets cost O(ball) not O(V).
+[[nodiscard]] std::vector<std::uint32_t> hops_to_targets(
+    const CsrGraph& g, NodeId source, std::span<const NodeId> targets);
 
 [[nodiscard]] bool is_connected(const Graph& g);
 [[nodiscard]] bool is_connected(const CsrGraph& g);
 
-/// Connected-component label per node, labels dense from 0.
-[[nodiscard]] std::vector<std::uint32_t> connected_components(const Graph& g);
-[[nodiscard]] std::vector<std::uint32_t> connected_components(
-    const CsrGraph& g);
-
-struct DijkstraResult {
-  std::vector<double> distance;   // +inf when unreachable
-  std::vector<NodeId> parent;     // parent[v] == v for source/unreachable
-};
-
-/// Dijkstra over non-negative edge weights.
-[[nodiscard]] DijkstraResult dijkstra(const Graph& g, NodeId source);
-[[nodiscard]] DijkstraResult dijkstra(const CsrGraph& g, NodeId source);
-
-/// Reconstructs the path source→target from a DijkstraResult; empty when
-/// unreachable. The path includes both endpoints.
-[[nodiscard]] std::vector<NodeId> extract_path(const DijkstraResult& r,
-                                               NodeId source, NodeId target);
-
-/// Kruskal MST over an arbitrary weighted edge list spanning `num_nodes`
-/// nodes. Returns the chosen edges (a spanning forest if disconnected).
-[[nodiscard]] std::vector<Edge> minimum_spanning_forest(
-    std::size_t num_nodes, std::vector<Edge> candidate_edges);
-
-/// Union–find with path compression + union by size (exposed for tests and
-/// reused by Kruskal).
+/// Union–find with path compression + union by size (used by the topology
+/// generators' connectivity repair).
 class DisjointSets {
  public:
   explicit DisjointSets(std::size_t n);

@@ -1,7 +1,7 @@
 // Undirected simple graph used to model the MEC network of access points.
 // Adjacency lists are kept sorted so neighbor iteration is deterministic,
-// and per-neighbor weights are stored in a parallel array so weighted
-// traversals (Dijkstra) never scan the global edge list.
+// and per-neighbor weights are stored in a parallel array so weight
+// lookups never scan the global edge list.
 #pragma once
 
 #include <cstdint>

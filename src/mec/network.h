@@ -11,7 +11,6 @@
 
 #include "graph/csr.h"
 #include "graph/graph.h"
-#include "graph/hop_oracle.h"
 #include "util/rng.h"
 
 namespace mecra::mec {
@@ -68,13 +67,6 @@ class MecNetwork {
     return *csr_;
   }
 
-  /// Hierarchical hop-distance/neighbourhood oracle over csr(); answers
-  /// N_l(v) / within-l / point-to-point hop queries bit-identically to BFS
-  /// (see graph/hop_oracle.h). Copies of the network share it.
-  [[nodiscard]] const graph::HopOracle& oracle() const {
-    MECRA_CHECK_MSG(oracle_ != nullptr, "network has no topology");
-    return *oracle_;
-  }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return topology_.num_nodes();
   }
@@ -134,7 +126,8 @@ class MecNetwork {
   }
 
   /// Cloudlets in N_l^+(v): at most `l` hops from v (including v itself when
-  /// it is a cloudlet), ascending node id.
+  /// it is a cloudlet), ascending node id. The one source of N_l^+ for
+  /// placement: a bounded BFS over csr() (graph::members_within).
   [[nodiscard]] std::vector<graph::NodeId> cloudlets_within(
       graph::NodeId v, std::uint32_t l) const;
 
@@ -154,11 +147,10 @@ class MecNetwork {
 
  private:
   graph::Graph topology_;
-  // Immutable derived structures, shared (not deep-copied) between copies
-  // of the network: the topology never changes after construction, so every
-  // copy may serve distance queries from the same index.
+  // Immutable packed topology, shared (not deep-copied) between copies of
+  // the network: the topology never changes after construction, so every
+  // copy may serve distance queries from the same arrays.
   std::shared_ptr<const graph::CsrGraph> csr_;
-  std::shared_ptr<const graph::HopOracle> oracle_;
   std::vector<double> capacity_;
   std::vector<double> residual_;
   std::vector<graph::NodeId> cloudlets_;

@@ -6,7 +6,6 @@
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
-#include "graph/hop_oracle.h"
 #include "util/check.h"
 
 namespace mecra::mec {
@@ -92,7 +91,7 @@ ShardMap ShardMap::build(const MecNetwork& network, std::uint32_t l_hops) {
   }
 
   // Interior/border classification + per-shard interior lists, over
-  // N_l^+(v) from the network's hop oracle.
+  // N_l^+(v) from MecNetwork::cloudlets_within.
   map.interior_.assign(num_nodes, 0);
   map.interior_cloudlets_.assign(map.num_shards_, {});
   for (graph::NodeId v : cloudlets) {

@@ -20,8 +20,8 @@
 // cloudlets are handled by a serial fallback pass (see
 // orchestrator::Orchestrator::admit_batch).
 //
-// The map keeps no copy of N_l^+(v): MecNetwork::cloudlets_within, the
-// hop oracle's bounded ball walk, is its one source.
+// The map keeps no copy of N_l^+(v): MecNetwork::cloudlets_within, a
+// bounded BFS over the network's CSR, is its one source.
 //
 // Determinism: `build` is a pure function of (topology, cloudlet set,
 // l_hops). Seeds, assignment, and every returned list use fixed ascending

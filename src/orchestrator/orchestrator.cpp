@@ -447,8 +447,8 @@ void Orchestrator::promote_for_position(Service& svc,
   }
   // Promote the running standby closest (in hops) to the failed primary —
   // minimizing the state-transfer distance the paper's l bound caps. The
-  // standbys are the only distances needed, so the oracle's early-stopping
-  // walk replaces the full-network BFS (bit-identical distances).
+  // standbys are the only distances needed, so an early-stopping walk
+  // replaces the full-network BFS (the same distances).
   std::vector<Instance*> standbys;
   std::vector<graph::NodeId> standby_at;
   for (Instance& inst : svc.instances) {
@@ -459,7 +459,8 @@ void Orchestrator::promote_for_position(Service& svc,
       standby_at.push_back(inst.cloudlet);
     }
   }
-  const auto hops = network_.oracle().hops_to_targets(failed_at, standby_at);
+  const auto hops =
+      graph::hops_to_targets(network_.csr(), failed_at, standby_at);
   Instance* best = nullptr;
   std::uint32_t best_hops = std::numeric_limits<std::uint32_t>::max();
   for (std::size_t i = 0; i < standbys.size(); ++i) {

@@ -1,10 +1,11 @@
 // Unit tests for the graph substrate: the adjacency structure and the
-// classic algorithms (BFS hops, components, Dijkstra, MST, union-find).
+// algorithms (BFS hops, bounded N_l^+ balls, connectivity, union-find).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "graph/algorithms.h"
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "graph/topology.h"
 #include "util/check.h"
@@ -106,47 +107,44 @@ TEST(BfsHops, DisconnectedIsUnreachable) {
   EXPECT_EQ(d[2], kUnreachable);
 }
 
-TEST(BfsHops, MatchesDijkstraOnUnitWeights) {
+TEST(BfsHops, MatchesFloydWarshallOnUnitWeights) {
   util::Rng rng(7);
   const Graph g = erdos_renyi(40, 0.1, rng);
-  const auto hops = bfs_hops(g, 0);
-  const auto dj = dijkstra(g, 0);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (hops[v] == kUnreachable) {
-      EXPECT_TRUE(std::isinf(dj.distance[v]));
-    } else {
-      EXPECT_DOUBLE_EQ(dj.distance[v], static_cast<double>(hops[v]));
+  const std::size_t n = g.num_nodes();
+  std::vector<std::vector<std::uint32_t>> hops(
+      n, std::vector<std::uint32_t>(n, kUnreachable));
+  for (NodeId v = 0; v < n; ++v) hops[v][v] = 0;
+  for (const Edge& e : g.edges()) hops[e.u][e.v] = hops[e.v][e.u] = 1;
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (hops[i][k] != kUnreachable && hops[k][j] != kUnreachable) {
+          hops[i][j] = std::min(hops[i][j], hops[i][k] + hops[k][j]);
+        }
+      }
     }
+  }
+  for (NodeId s = 0; s < n; ++s) {
+    EXPECT_EQ(bfs_hops(g, s), hops[s]) << "source " << s;
   }
 }
 
-TEST(AllPairsHops, SymmetricOnUndirectedGraphs) {
-  util::Rng rng(9);
-  const Graph g = erdos_renyi(25, 0.15, rng);
-  const auto d = all_pairs_hops(g);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(d[u][v], d[v][u]);
-    }
-  }
+// ----------------------------------------------------- N_l^+ membership
+
+TEST(MembersWithin, IncludesSelfAndRespectsRadius) {
+  const CsrGraph g = CsrGraph::build(small_tree());
+  EXPECT_EQ(members_within(g, 0, 0), (std::vector<NodeId>{0}));
+  EXPECT_EQ(members_within(g, 0, 1), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(members_within(g, 0, 2), (std::vector<NodeId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(members_within(g, 3, 2), (std::vector<NodeId>{0, 1, 3, 4}));
 }
 
-// --------------------------------------------------------- l-hop neighbors
-
-TEST(LHopNeighbors, ExcludesSelfAndRespectsRadius) {
-  const Graph g = small_tree();
-  const auto n1 = l_hop_neighbors(g, 0, 1);
-  EXPECT_EQ(n1, (std::vector<NodeId>{1, 2}));
-  const auto n2 = l_hop_neighbors(g, 0, 2);
-  EXPECT_EQ(n2, (std::vector<NodeId>{1, 2, 3, 4}));
-}
-
-TEST(LHopNeighbors, LargeRadiusReachesComponentOnly) {
+TEST(MembersWithin, LargeRadiusReachesComponentOnly) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  const auto n = l_hop_neighbors(g, 0, 3);
-  EXPECT_EQ(n, (std::vector<NodeId>{1}));
+  const auto n = members_within(CsrGraph::build(g), 0, 3);
+  EXPECT_EQ(n, (std::vector<NodeId>{0, 1}));
 }
 
 // ---------------------------------------------------------- connectivity
@@ -164,119 +162,6 @@ TEST(Connectivity, DetectsDisconnection) {
   EXPECT_TRUE(is_connected(g));
 }
 
-TEST(Components, LabelsAreDenseAndConsistent) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(3, 4);
-  const auto label = connected_components(g);
-  EXPECT_EQ(label[0], label[1]);
-  EXPECT_EQ(label[3], label[4]);
-  EXPECT_NE(label[0], label[2]);
-  EXPECT_NE(label[0], label[3]);
-  const auto max_label = *std::max_element(label.begin(), label.end());
-  EXPECT_EQ(max_label, 2u);  // three components: {0,1}, {2}, {3,4}
-}
-
-// -------------------------------------------------------------- Dijkstra
-
-TEST(Dijkstra, PrefersCheaperLongerPath) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 3, 1.0);
-  g.add_edge(0, 3, 5.0);
-  g.add_edge(0, 2, 2.0);
-  const auto r = dijkstra(g, 0);
-  EXPECT_DOUBLE_EQ(r.distance[3], 2.0);
-  EXPECT_EQ(extract_path(r, 0, 3), (std::vector<NodeId>{0, 1, 3}));
-}
-
-TEST(Dijkstra, UnreachableYieldsEmptyPath) {
-  Graph g(3);
-  g.add_edge(0, 1);
-  const auto r = dijkstra(g, 0);
-  EXPECT_TRUE(extract_path(r, 0, 2).empty());
-}
-
-TEST(Dijkstra, SourcePathIsItself) {
-  Graph g(2);
-  g.add_edge(0, 1);
-  const auto r = dijkstra(g, 0);
-  EXPECT_EQ(extract_path(r, 0, 0), (std::vector<NodeId>{0}));
-}
-
-// ------------------------------------------------------------------- MST
-
-TEST(Mst, SpanningTreeOfSquareWithDiagonal) {
-  std::vector<Edge> edges{{0, 1, 1.0}, {1, 2, 2.0}, {2, 3, 1.0},
-                          {3, 0, 2.0}, {0, 2, 10.0}};
-  const auto mst = minimum_spanning_forest(4, edges);
-  EXPECT_EQ(mst.size(), 3u);
-  double total = 0.0;
-  for (const auto& e : mst) total += e.weight;
-  EXPECT_DOUBLE_EQ(total, 4.0);
-}
-
-TEST(Mst, EqualWeightForestIsInvariantUnderInputPermutation) {
-  // Hop metrics weigh every edge 1.0, so weight ties are the COMMON case.
-  // Kruskal takes whichever ties sort first; the comparator's (u, v)
-  // tie-break makes the forest a pure function of the edge SET — the
-  // order the caller assembled the list in must not change the result.
-  std::vector<Edge> edges;
-  for (NodeId u = 0; u < 5; ++u) {
-    for (NodeId v = static_cast<NodeId>(u + 1); v < 5; ++v) {
-      edges.push_back({u, v, 1.0});
-    }
-  }
-  const auto baseline = minimum_spanning_forest(5, edges);
-  ASSERT_EQ(baseline.size(), 4u);
-  const std::vector<Edge> reversed(edges.rbegin(), edges.rend());
-  const auto permuted = minimum_spanning_forest(5, reversed);
-  ASSERT_EQ(permuted.size(), baseline.size());
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(permuted[i].u, baseline[i].u);
-    EXPECT_EQ(permuted[i].v, baseline[i].v);
-  }
-}
-
-TEST(Mst, ForestOnDisconnectedInput) {
-  std::vector<Edge> edges{{0, 1, 1.0}, {2, 3, 1.0}};
-  const auto f = minimum_spanning_forest(4, edges);
-  EXPECT_EQ(f.size(), 2u);
-}
-
-TEST(Mst, TreeWeightIsMinimalVsBruteForce) {
-  // Random complete graph on 6 nodes; compare Kruskal against exhaustive
-  // enumeration of all spanning trees via Prüfer-free brute force (all
-  // subsets of size n-1 that connect).
-  util::Rng rng(21);
-  const std::size_t n = 6;
-  std::vector<Edge> edges;
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = static_cast<NodeId>(u + 1); v < n; ++v) {
-      edges.push_back({u, v, rng.uniform(0.1, 10.0)});
-    }
-  }
-  const auto mst = minimum_spanning_forest(n, edges);
-  double kruskal = 0.0;
-  for (const auto& e : mst) kruskal += e.weight;
-
-  double best = 1e18;
-  const std::size_t m = edges.size();
-  for (std::size_t mask = 0; mask < (1ull << m); ++mask) {
-    if (static_cast<std::size_t>(__builtin_popcountll(mask)) != n - 1) continue;
-    DisjointSets dsu(n);
-    double total = 0.0;
-    for (std::size_t e = 0; e < m; ++e) {
-      if (mask & (1ull << e)) {
-        dsu.unite(edges[e].u, edges[e].v);
-        total += edges[e].weight;
-      }
-    }
-    if (dsu.num_sets() == 1) best = std::min(best, total);
-  }
-  EXPECT_NEAR(kruskal, best, 1e-9);
-}
-
 // ----------------------------------------------------------- DisjointSets
 
 TEST(DisjointSets, UniteAndFind) {
@@ -288,61 +173,6 @@ TEST(DisjointSets, UniteAndFind) {
   EXPECT_NE(dsu.find(0), dsu.find(2));
   EXPECT_EQ(dsu.num_sets(), 3u);
 }
-
-}  // namespace
-}  // namespace mecra::graph
-
-// Appended: weighted shortest-path cross-validation against Floyd-Warshall.
-namespace mecra::graph {
-namespace {
-
-class DijkstraSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DijkstraSweep, MatchesFloydWarshall) {
-  util::Rng rng(GetParam());
-  const std::size_t n = 20;
-  Graph g(n);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = static_cast<NodeId>(u + 1); v < n; ++v) {
-      if (rng.bernoulli(0.25)) g.add_edge(u, v, rng.uniform(0.1, 5.0));
-    }
-  }
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> dist(n, std::vector<double>(n, kInf));
-  for (NodeId v = 0; v < n; ++v) dist[v][v] = 0.0;
-  for (const Edge& e : g.edges()) {
-    dist[e.u][e.v] = std::min(dist[e.u][e.v], e.weight);
-    dist[e.v][e.u] = std::min(dist[e.v][e.u], e.weight);
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        dist[i][j] = std::min(dist[i][j], dist[i][k] + dist[k][j]);
-      }
-    }
-  }
-  for (NodeId s = 0; s < n; ++s) {
-    const auto r = dijkstra(g, s);
-    for (NodeId t = 0; t < n; ++t) {
-      if (dist[s][t] == kInf) {
-        EXPECT_TRUE(std::isinf(r.distance[t]));
-      } else {
-        EXPECT_NEAR(r.distance[t], dist[s][t], 1e-9) << s << "->" << t;
-        // The reconstructed path must realize the distance.
-        const auto path = extract_path(r, s, t);
-        ASSERT_FALSE(path.empty());
-        double total = 0.0;
-        for (std::size_t i = 1; i < path.size(); ++i) {
-          total += g.edge_weight(path[i - 1], path[i]);
-        }
-        EXPECT_NEAR(total, dist[s][t], 1e-9);
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DijkstraSweep,
-                         ::testing::Values(71001, 71002, 71003, 71004));
 
 }  // namespace
 }  // namespace mecra::graph

@@ -9,10 +9,14 @@
 //     but never past the item-universe ceiling);
 //   * Lemma 4.2: an optimal per-item ILP solution uses per-function
 //     prefixes of items;
+//   * the ILP models themselves (aggregated and paper-literal per-item)
+//     reach the optimum found by exhaustive enumeration of secondary
+//     counts on tiny instances;
 //   * monotonicity: more residual capacity or a larger hop radius never
 //     hurts the exactly-solved objective.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -147,6 +151,134 @@ TEST_P(PrefixLemma, OptimalPerItemSolutionUsesPrefixes) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PrefixLemma,
                          ::testing::Values(41001, 41002, 41003, 41004,
                                            41005, 41006));
+
+// ----------------------------------- ILP models vs exhaustive enumeration
+
+/// A tiny BMCGAP instance drawn directly, without a network: 1-3 functions
+/// over 1-3 cloudlets, K_i in [1, 3], each candidate set holding the
+/// primary's cloudlet plus random others, residuals of 0-4 demands (some
+/// with a leftover below one demand), and an expectation above what the
+/// primaries alone reach.
+BmcgapInstance tiny_instance(util::Rng& rng) {
+  constexpr double kDemands[] = {200.0, 300.0, 400.0};
+  const std::size_t num_nodes = 1 + rng.index(3);
+  BmcgapInstance inst;
+  inst.initial_reliability = 1.0;
+  const std::size_t num_fns = 1 + rng.index(3);
+  for (std::size_t i = 0; i < num_fns; ++i) {
+    BmcgapFunction fn;
+    fn.function = static_cast<mec::FunctionId>(i);
+    fn.primary = static_cast<graph::NodeId>(rng.index(num_nodes));
+    fn.reliability = rng.uniform(0.6, 0.95);
+    fn.demand = kDemands[rng.index(3)];
+    for (graph::NodeId u = 0; u < num_nodes; ++u) {
+      if (u == fn.primary || rng.bernoulli(0.6)) fn.allowed.push_back(u);
+    }
+    fn.max_secondaries = static_cast<std::uint32_t>(1 + rng.index(3));
+    inst.initial_reliability *= fn.reliability;
+    for (graph::NodeId u : fn.allowed) inst.cloudlets.push_back(u);
+    inst.functions.push_back(std::move(fn));
+  }
+  for (std::uint32_t i = 0; i < inst.functions.size(); ++i) {
+    for (std::uint32_t k = 1; k <= inst.functions[i].max_secondaries; ++k) {
+      inst.items.push_back(ItemRef{i, k});
+    }
+  }
+  std::sort(inst.cloudlets.begin(), inst.cloudlets.end());
+  inst.cloudlets.erase(
+      std::unique(inst.cloudlets.begin(), inst.cloudlets.end()),
+      inst.cloudlets.end());
+  for (std::size_t c = 0; c < inst.cloudlets.size(); ++c) {
+    const double demand = inst.functions[rng.index(num_fns)].demand;
+    const double residual = static_cast<double>(rng.index(5)) * demand +
+                            (rng.bernoulli(0.3) ? 100.0 : 0.0);
+    inst.residual.push_back(residual);
+    inst.capacity.push_back(residual + 1000.0);
+  }
+  inst.expectation = inst.initial_reliability +
+                     (1.0 - inst.initial_reliability) * rng.uniform(0.1, 0.99);
+  inst.budget = -std::log(inst.expectation);
+  return inst;
+}
+
+/// The optimum by brute force: every integer count vector y_{i,u} over
+/// u in allowed_i with sum_u y_{i,u} <= K_i and sum_i c(f_i) y_{i,u} <= C'_u,
+/// scored as the marginal gains of each function's first n_i items.
+double enumerated_optimum(const BmcgapInstance& inst) {
+  struct Slot {
+    std::size_t fn;
+    std::size_t cloudlet;  // index into inst.cloudlets
+  };
+  std::vector<Slot> slots;
+  for (std::size_t i = 0; i < inst.functions.size(); ++i) {
+    for (graph::NodeId u : inst.functions[i].allowed) {
+      slots.push_back(Slot{i, inst.cloudlet_index(u)});
+    }
+  }
+  std::vector<double> load(inst.cloudlets.size(), 0.0);
+  std::vector<std::uint32_t> count(inst.functions.size(), 0);
+  double best = 0.0;
+  const auto visit = [&](const auto& self, std::size_t s) -> void {
+    if (s == slots.size()) {
+      double gain = 0.0;
+      for (std::size_t i = 0; i < count.size(); ++i) {
+        for (std::uint32_t k = 1; k <= count[i]; ++k) {
+          gain += mec::marginal_gain(inst.functions[i].reliability, k);
+        }
+      }
+      best = std::max(best, gain);
+      return;
+    }
+    const auto& fn = inst.functions[slots[s].fn];
+    const std::size_t c = slots[s].cloudlet;
+    const std::uint32_t before = count[slots[s].fn];
+    const double load_before = load[c];
+    for (std::uint32_t y = 0; before + y <= fn.max_secondaries &&
+                              load_before + y * fn.demand <= inst.residual[c];
+         ++y) {
+      count[slots[s].fn] = before + y;
+      load[c] = load_before + y * fn.demand;
+      self(self, s + 1);
+    }
+    count[slots[s].fn] = before;
+    load[c] = load_before;
+  };
+  visit(visit, 0);
+  return best;
+}
+
+TEST(IlpModelVsEnumeration, TinyInstancesReachTheEnumeratedOptimum) {
+  AugmentOptions exact;
+  exact.trim_to_expectation = false;
+  exact.ilp.relative_gap = 0.0;
+  const double tol = exact.ilp.absolute_gap;
+  const ilp::BranchAndBoundSolver per_item_solver(exact.ilp);
+  util::Rng rng(81001);
+  for (int trial = 0; trial < 200; ++trial) {
+    const BmcgapInstance inst = tiny_instance(rng);
+    ASSERT_LT(inst.initial_reliability, inst.expectation);
+    const double best = enumerated_optimum(inst);
+
+    const auto ilp = augment_ilp(inst, exact);
+    EXPECT_TRUE(validate(inst, ilp).feasible) << "trial " << trial;
+    EXPECT_NEAR(ilp.objective_gain, best, tol) << "trial " << trial;
+
+    // The paper-literal Eqs. (5)-(13), with and without the Lemma 4.2
+    // prefix cuts: the model, not only the solver, must be exact.
+    for (const bool cuts : {false, true}) {
+      const auto per_item = build_per_item_model(inst, cuts);
+      const auto sol =
+          per_item_solver.solve(per_item.model, per_item.is_integer);
+      ASSERT_TRUE(sol.has_solution()) << "trial " << trial;
+      EXPECT_NEAR(sol.objective, best, tol)
+          << "trial " << trial << " cuts " << cuts;
+    }
+
+    const auto heuristic = augment_heuristic(inst, exact);
+    EXPECT_TRUE(validate(inst, heuristic).feasible) << "trial " << trial;
+    EXPECT_LE(heuristic.objective_gain, best + 1e-12) << "trial " << trial;
+  }
+}
 
 // ----------------------------------------------------------- monotonicity
 

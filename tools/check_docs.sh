@@ -5,7 +5,8 @@
 #      doc comments (bad \param names, broken continuation). Skipped with
 #      a notice when clang is not installed (gcc has no equivalent).
 #   2. tools/check_markdown_links.py — every relative markdown link must
-#      resolve.
+#      resolve, and every backticked repo path (`src/...`, `tests/...`,
+#      `bench/...`, ...) must exist.
 #
 # Usage: tools/check_docs.sh   (from anywhere; repo root is derived)
 set -u

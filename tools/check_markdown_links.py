@@ -7,8 +7,19 @@ it against the file that contains the link. Fragments (`file.md#anchor`)
 are checked for file existence only; external schemes (http/https/mailto)
 and pure in-page anchors (`#section`) are skipped.
 
-Exit status: 0 when all links resolve, 1 with one line per broken link
-otherwise. No third-party dependencies.
+It also checks backticked repo paths: an inline code span whose first word
+starts with one of PATH_ROOTS must name a path that exists, resolved
+against the repo root or the markdown file's directory. A `:line` or
+`::TestName` suffix is stripped, `{a,b}` alternatives must each exist, a
+`*` pattern must match something, and a bench, example or test binary name
+passes when its `.cpp` exists. Spans with `<placeholder>`s are skipped.
+Paths are checked in every markdown file below the root and in the root
+files of ROOT_DOCS; the other root files are history (CHANGES.md), paper
+notes and quotations of other repositories (SNIPPETS.md), which may name
+paths that do not exist in this tree.
+
+Exit status: 0 when all links and paths resolve, 1 with one line per
+broken one otherwise. No third-party dependencies.
 """
 from __future__ import annotations
 
@@ -22,6 +33,13 @@ from pathlib import Path
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
 SKIP_SCHEMES = ("http://", "https://", "mailto:", "ftp://")
+
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+BRACE_RE = re.compile(r"\{([^{}]*)\}")
+PATH_ROOTS = ("src/", "tests/", "bench/", "tools/", "docs/", "examples/",
+              "perfbench/")
+ROOT_DOCS = {"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md",
+             "ROADMAP.md"}
 
 
 def tracked_markdown(root: Path) -> list[Path]:
@@ -41,9 +59,46 @@ def tracked_markdown(root: Path) -> list[Path]:
                        for part in p.parts)]
 
 
+def expand_braces(path: str) -> list[str]:
+    match = BRACE_RE.search(path)
+    if match is None:
+        return [path]
+    out = []
+    for alt in match.group(1).split(","):
+        out.extend(expand_braces(path[:match.start()] + alt +
+                                 path[match.end():]))
+    return out
+
+
+def repo_path_exists(path: str, bases: list[Path]) -> bool:
+    for base in bases:
+        if "*" in path:
+            if next(base.glob(path), None) is not None:
+                return True
+        elif (base / path).exists() or (base / (path + ".cpp")).exists():
+            return True  # a binary is named after its .cpp
+    return False
+
+
+def broken_repo_paths(line: str, bases: list[Path]) -> list[str]:
+    broken = []
+    for match in CODE_SPAN_RE.finditer(line):
+        words = match.group(1).split()
+        if not words or not words[0].startswith(PATH_ROOTS):
+            continue
+        if "<" in match.group(1):
+            continue  # a <placeholder>, not a concrete path
+        path = words[0].split(":", 1)[0]
+        if not all(repo_path_exists(p, bases) for p in expand_braces(path)):
+            broken.append(words[0])
+    return broken
+
+
 def check_file(md: Path, root: Path) -> list[str]:
     errors = []
     in_fence = False
+    check_paths = md.parent != root or md.name in ROOT_DOCS
+    bases = [root, md.parent]
     for lineno, line in enumerate(
             md.read_text(encoding="utf-8").splitlines(), start=1):
         if FENCE_RE.match(line.strip()):
@@ -64,6 +119,11 @@ def check_file(md: Path, root: Path) -> list[str]:
                 errors.append(
                     f"{md.relative_to(root)}:{lineno}: broken link "
                     f"-> {target}")
+        if check_paths:
+            for path in broken_repo_paths(line, bases):
+                errors.append(
+                    f"{md.relative_to(root)}:{lineno}: missing repo path "
+                    f"-> {path}")
     return errors
 
 
@@ -75,9 +135,10 @@ def main() -> int:
         errors.extend(check_file(md, root))
     if errors:
         print("\n".join(errors))
-        print(f"\n{len(errors)} broken link(s) across {len(files)} files")
+        print(f"\n{len(errors)} broken link(s) or path(s) across "
+              f"{len(files)} files")
         return 1
-    print(f"all links OK across {len(files)} markdown files")
+    print(f"all links and repo paths OK across {len(files)} markdown files")
     return 0
 
 

@@ -2,7 +2,7 @@
 """Determinism linter: repo-specific invariants no off-the-shelf tool knows.
 
 The repo's headline guarantees are bit-identity guarantees: placements at
-any thread count, journal replay, oracle answers. They survive only while
+any thread count, journal replay, hop-query answers. They survive only while
 no code path lets an implementation-defined order leak into committed
 state, serialized output, or metrics/report export order. This linter
 rejects, at lint time, the constructs that historically break that:
