@@ -13,17 +13,26 @@
 
 namespace mecra::core::detail {
 
-/// Measures one augmentation call. Construct AFTER the result object (the
-/// destructor reads the final `result`, including the runtime_seconds the
-/// algorithm stamps right before returning).
+enum class Algorithm { kIlp, kRandomized, kHeuristic, kGreedy };
+inline constexpr const char* kScopes[] = {
+    "augment.ilp", "augment.randomized", "augment.heuristic",
+    "augment.greedy"};
+
+/// Measures one augmentation call of algorithm `A`. Construct AFTER the
+/// result object (the destructor reads the final `result`, including the
+/// runtime_seconds the algorithm stamps right before returning). Each
+/// algorithm's instruments are looked up once, on its first record, and
+/// held as static references.
 ///
 /// Thread safety: safe on concurrent trial-runner workers — all recording
 /// goes through the sharded registry.
+template <Algorithm A>
 class AugmentObs {
+  static constexpr const char* kScope = kScopes[static_cast<int>(A)];
+
  public:
-  /// `scope` must be a string literal like "augment.heuristic".
-  AugmentObs(const char* scope, const AugmentationResult& result)
-      : scope_(scope), result_(result), span_(scope) {}
+  explicit AugmentObs(const AugmentationResult& result)
+      : result_(result), span_(kScope) {}
 
   AugmentObs(const AugmentObs&) = delete;
   AugmentObs& operator=(const AugmentObs&) = delete;
@@ -31,16 +40,22 @@ class AugmentObs {
   ~AugmentObs() {
     if (!obs::enabled()) return;
     auto& reg = obs::MetricsRegistry::global();
-    const std::string scope(scope_);
-    reg.counter(scope + ".calls").add(1);
-    if (result_.expectation_met) reg.counter(scope + ".met").add(1);
-    reg.histogram(scope + ".seconds").observe(result_.runtime_seconds);
+    static obs::Counter& calls =
+        reg.counter(std::string(kScope) + ".calls");
+    static obs::Histogram& seconds =
+        reg.histogram(std::string(kScope) + ".seconds");
+    calls.add(1);
+    if (result_.expectation_met) {
+      static obs::Counter& met =
+          reg.counter(std::string(kScope) + ".met");
+      met.add(1);
+    }
+    seconds.observe(result_.runtime_seconds);
     span_.attr("placements", static_cast<double>(result_.placements.size()));
     span_.attr("achieved", result_.achieved_reliability);
   }
 
  private:
-  const char* scope_;
   const AugmentationResult& result_;
   obs::TraceSpan span_;
 };

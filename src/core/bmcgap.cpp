@@ -31,28 +31,62 @@ double BmcgapInstance::needed_gain() const {
   return std::max(0.0, std::log(expectation) - std::log(initial_reliability));
 }
 
-BmcgapInstance build_bmcgap(const mec::MecNetwork& network,
-                            const mec::VnfCatalog& catalog,
-                            const mec::SfcRequest& request,
-                            const admission::PrimaryPlacement& primaries,
-                            const BmcgapOptions& options) {
+namespace {
+
+/// mec::useful_secondary_cap depends only on a function's reliability and
+/// the options, so each thread computes it once per catalog function; an
+/// entry is reused only for the exact inputs it was computed from.
+std::uint32_t useful_cap(const mec::NetworkFunction& fn,
+                         const BmcgapOptions& options) {
+  struct Entry {
+    double reliability, min_gain;
+    std::uint32_t hard_cap, cap;
+  };
+  thread_local std::vector<Entry> cache;
+  if (fn.id >= cache.size()) {
+    cache.resize(fn.id + std::size_t{1},
+                 Entry{std::numeric_limits<double>::quiet_NaN(), 0.0, 0, 0});
+  }
+  Entry& e = cache[fn.id];
+  if (e.reliability != fn.reliability || e.min_gain != options.min_gain ||
+      e.hard_cap != options.secondary_hard_cap) {
+    e = Entry{fn.reliability, options.min_gain, options.secondary_hard_cap,
+              mec::useful_secondary_cap(fn.reliability, options.min_gain,
+                                        options.secondary_hard_cap)};
+  }
+  return e.cap;
+}
+
+}  // namespace
+
+void build_bmcgap_into(BmcgapInstance& inst, const mec::MecNetwork& network,
+                       const mec::VnfCatalog& catalog,
+                       const mec::SfcRequest& request,
+                       const admission::PrimaryPlacement& primaries,
+                       const BmcgapOptions& options) {
   MECRA_CHECK_MSG(primaries.length() == request.length(),
                   "primary placement must cover the whole chain");
   MECRA_CHECK(options.l_hops >= 1);
   MECRA_CHECK(request.expectation > 0.0 && request.expectation <= 1.0);
 
-  BmcgapInstance inst;
   inst.l_hops = options.l_hops;
   inst.expectation = request.expectation;
   inst.budget = -std::log(request.expectation);
+  inst.functions.resize(request.length());
+  inst.items.clear();
+  inst.cloudlets.clear();
 
-  // Per-function candidate sets and item counts.
-  for (std::size_t i = 0; i < request.length(); ++i) {
+  // Per-function candidate sets, item counts and the item universe,
+  // grouped by chain position. The paper's big-M is 100x the largest
+  // finite item cost (Sec. 4.2), counting the k = 0 items; Eq. (3) costs
+  // rise with k, so a function's largest is its K_i-th.
+  double max_cost = 0.0;
+  for (std::uint32_t i = 0; i < request.length(); ++i) {
     const auto& fn = catalog.function(request.chain[i]);
     const graph::NodeId primary = primaries.cloudlet_of[i];
     MECRA_CHECK_MSG(network.is_cloudlet(primary),
                     "a primary instance must sit on a cloudlet");
-    BmcgapFunction bf;
+    BmcgapFunction& bf = inst.functions[i];
     bf.function = fn.id;
     bf.primary = primary;
     bf.reliability = fn.reliability;
@@ -69,47 +103,44 @@ BmcgapInstance build_bmcgap(const mec::MecNetwork& network,
     const std::uint32_t cap_by_capacity = static_cast<std::uint32_t>(
         std::min(capacity_items,
                  static_cast<double>(options.secondary_hard_cap)));
-    const std::uint32_t cap_by_gain = mec::useful_secondary_cap(
-        bf.reliability, options.min_gain, options.secondary_hard_cap);
-    bf.max_secondaries = std::min(cap_by_capacity, cap_by_gain);
-    inst.functions.push_back(std::move(bf));
-  }
+    bf.max_secondaries = std::min(cap_by_capacity, useful_cap(fn, options));
 
-  // Item universe, grouped by chain position.
-  for (std::uint32_t i = 0; i < inst.functions.size(); ++i) {
-    for (std::uint32_t k = 1; k <= inst.functions[i].max_secondaries; ++k) {
+    for (std::uint32_t k = 1; k <= bf.max_secondaries; ++k) {
       inst.items.push_back(ItemRef{i, k});
     }
-  }
-
-  // Union of candidate cloudlets with capacity snapshots.
-  for (const auto& bf : inst.functions) {
+    max_cost = std::max(max_cost, -std::log(bf.reliability));
+    if (bf.max_secondaries > 0) {
+      max_cost = std::max(
+          max_cost, mec::item_cost(bf.reliability, bf.max_secondaries));
+    }
     inst.cloudlets.insert(inst.cloudlets.end(), bf.allowed.begin(),
                           bf.allowed.end());
   }
+  inst.big_m = 100.0 * max_cost;
+
+  // Union of candidate cloudlets with capacity snapshots.
   std::sort(inst.cloudlets.begin(), inst.cloudlets.end());
   inst.cloudlets.erase(
       std::unique(inst.cloudlets.begin(), inst.cloudlets.end()),
       inst.cloudlets.end());
-  inst.residual.reserve(inst.cloudlets.size());
-  inst.capacity.reserve(inst.cloudlets.size());
-  for (graph::NodeId v : inst.cloudlets) {
-    inst.residual.push_back(network.residual(v));
-    inst.capacity.push_back(network.capacity(v));
+  inst.residual.resize(inst.cloudlets.size());
+  inst.capacity.resize(inst.cloudlets.size());
+  for (std::size_t c = 0; c < inst.cloudlets.size(); ++c) {
+    inst.residual[c] = network.residual(inst.cloudlets[c]);
+    inst.capacity[c] = network.capacity(inst.cloudlets[c]);
   }
 
   inst.initial_reliability =
       admission::initial_reliability(catalog, request);
+}
 
-  // The paper's big-M: 100x the largest finite item cost (Sec. 4.2).
-  double max_cost = 0.0;
-  for (const ItemRef& item : inst.items) {
-    max_cost = std::max(max_cost, inst.item_cost(item));
-  }
-  for (const auto& bf : inst.functions) {
-    max_cost = std::max(max_cost, -std::log(bf.reliability));  // k = 0 items
-  }
-  inst.big_m = 100.0 * max_cost;
+BmcgapInstance build_bmcgap(const mec::MecNetwork& network,
+                            const mec::VnfCatalog& catalog,
+                            const mec::SfcRequest& request,
+                            const admission::PrimaryPlacement& primaries,
+                            const BmcgapOptions& options) {
+  BmcgapInstance inst;
+  build_bmcgap_into(inst, network, catalog, request, primaries, options);
   return inst;
 }
 

@@ -95,10 +95,19 @@ struct BmcgapOptions {
   std::uint32_t secondary_hard_cap = 64;
 };
 
-/// Builds the instance against the network's CURRENT residual capacities;
-/// each candidate set is MecNetwork::cloudlets_within(primary, l_hops).
-/// `primaries.length()` must equal `request.length()`, and every primary
-/// must sit on a cloudlet node.
+/// Builds the instance into `instance` against the network's CURRENT
+/// residual capacities, overwriting every field and reusing the storage of
+/// its vectors; each candidate set is MecNetwork::cloudlets_within(primary,
+/// l_hops). `primaries.length()` must equal `request.length()`, and every
+/// primary must sit on a cloudlet node.
+void build_bmcgap_into(BmcgapInstance& instance,
+                       const mec::MecNetwork& network,
+                       const mec::VnfCatalog& catalog,
+                       const mec::SfcRequest& request,
+                       const admission::PrimaryPlacement& primaries,
+                       const BmcgapOptions& options = {});
+
+/// build_bmcgap_into on a fresh instance.
 [[nodiscard]] BmcgapInstance build_bmcgap(
     const mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     const mec::SfcRequest& request,

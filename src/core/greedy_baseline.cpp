@@ -14,7 +14,7 @@ AugmentationResult augment_greedy(const BmcgapInstance& instance,
   util::Timer timer;
   AugmentationResult result;
   result.algorithm = "Greedy";
-  const detail::AugmentObs augment_obs("augment.greedy", result);
+  const detail::AugmentObs<detail::Algorithm::kGreedy> augment_obs(result);
 
   if (instance.initial_reliability >= instance.expectation) {
     finalize_result(instance, result);

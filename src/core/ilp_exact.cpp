@@ -168,7 +168,7 @@ AugmentationResult augment_ilp(const BmcgapInstance& instance,
   util::Timer timer;
   AugmentationResult result;
   result.algorithm = "ILP";
-  const detail::AugmentObs augment_obs("augment.ilp", result);
+  const detail::AugmentObs<detail::Algorithm::kIlp> augment_obs(result);
 
   // Line 2-3 of Algorithm 1 applies here too: nothing to do when the
   // primaries alone meet the expectation.

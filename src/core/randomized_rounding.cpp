@@ -17,7 +17,7 @@ AugmentationResult augment_randomized(const BmcgapInstance& instance,
   util::Timer timer;
   AugmentationResult result;
   result.algorithm = "Randomized";
-  const detail::AugmentObs augment_obs("augment.randomized", result);
+  const detail::AugmentObs<detail::Algorithm::kRandomized> augment_obs(result);
 
   // Algorithm 1, lines 2-3: the admission already meets the expectation.
   if (instance.initial_reliability >= instance.expectation) {

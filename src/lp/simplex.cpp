@@ -589,12 +589,18 @@ namespace {
 /// counter add per solve, regardless of the exit path — never per pivot).
 struct LpObsRecord {
   const Solution& sol;
-  const char* solves_counter;
+  bool warm;  // counts under lp.warm_resolves, else lp.cold_solves
   ~LpObsRecord() {
     if (!obs::enabled()) return;
-    obs::MetricsRegistry::global().counter(solves_counter).add(1);
-    static obs::Counter& pivots =
-        obs::MetricsRegistry::global().counter("lp.pivots");
+    auto& reg = obs::MetricsRegistry::global();
+    if (warm) {
+      static obs::Counter& warm_resolves = reg.counter("lp.warm_resolves");
+      warm_resolves.add(1);
+    } else {
+      static obs::Counter& cold_solves = reg.counter("lp.cold_solves");
+      cold_solves.add(1);
+    }
+    static obs::Counter& pivots = reg.counter("lp.pivots");
     pivots.add(sol.iterations);
   }
 };
@@ -607,7 +613,7 @@ Solution SimplexSolver::solve(const Model& model) const {
   Tableau tb = build_tableau(model, sense_factor);
 
   Solution sol;
-  const LpObsRecord obs_record{sol, "lp.cold_solves"};
+  const LpObsRecord obs_record{sol, /*warm=*/false};
   sol.x.assign(model.num_variables(), 0.0);
   sol.duals.assign(model.num_constraints(), 0.0);
 
@@ -957,7 +963,7 @@ ResolveCache& thread_resolve_cache() {
 Solution SimplexSolver::resolve(const Model& model, const Basis& basis) const {
   if (std::optional<Solution> warm =
           try_resolve(model, basis, options_, thread_resolve_cache())) {
-    const LpObsRecord obs_record{*warm, "lp.warm_resolves"};
+    const LpObsRecord obs_record{*warm, /*warm=*/true};
     return *std::move(warm);
   }
   if (obs::enabled()) {

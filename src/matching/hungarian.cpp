@@ -1,8 +1,8 @@
 #include "matching/hungarian.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <functional>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -10,39 +10,59 @@ namespace mecra::matching {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kNone = kUnmatched;
 }  // namespace
 
-MatchingResult min_cost_max_matching(std::size_t num_left,
-                                     std::size_t num_right,
-                                     const std::vector<BipartiteEdge>& edges) {
+std::size_t min_cost_max_matching(std::size_t num_left, std::size_t num_right,
+                                  std::span<const BipartiteEdge> edges,
+                                  MatchingWorkspace& ws) {
+  MECRA_CHECK(edges.size() < kNone);
   // Shift all costs to be non-negative. Adding a constant C to every edge
   // adds C * cardinality to every matching of a given cardinality, so the
   // set of min-cost MAXIMUM matchings is unchanged; Dijkstra with zero
   // initial potentials then stays valid.
   double min_cost = 0.0;
+  ws.adj_start.assign(num_left + 1, 0);
   for (const auto& e : edges) {
     MECRA_CHECK(e.left < num_left && e.right < num_right);
     min_cost = std::min(min_cost, e.cost);
+    ++ws.adj_start[e.left + 1];
   }
   const double shift = -min_cost;
 
-  // Adjacency: per left node, indices into `edges`.
-  std::vector<std::vector<std::uint32_t>> adj(num_left);
+  // CSR adjacency: per left node, indices into `edges` in input order.
+  std::partial_sum(ws.adj_start.begin(), ws.adj_start.end(),
+                   ws.adj_start.begin());
+  ws.cursor.assign(ws.adj_start.begin(), ws.adj_start.end() - 1);
+  ws.adj_edge.resize(edges.size());
   for (std::uint32_t i = 0; i < edges.size(); ++i) {
-    adj[edges[i].left].push_back(i);
+    ws.adj_edge[ws.cursor[edges[i].left]++] = i;
   }
 
   // Matching state is kept as edge indices so parallel edges and cost lookup
   // are unambiguous.
-  std::vector<std::uint32_t> match_edge_l(num_left, kNone);
-  std::vector<std::uint32_t> match_edge_r(num_right, kNone);
-  std::vector<double> pot_l(num_left, 0.0);
-  std::vector<double> pot_r(num_right, 0.0);
+  auto& match_edge_l = ws.match_edge_l;
+  auto& match_edge_r = ws.match_edge_r;
+  auto& pot_l = ws.pot_l;
+  auto& pot_r = ws.pot_r;
+  auto& dist_l = ws.dist_l;
+  auto& dist_r = ws.dist_r;
+  auto& prev_edge_r = ws.prev_edge_r;  // edge used to reach r
+  match_edge_l.assign(num_left, kNone);
+  match_edge_r.assign(num_right, kNone);
+  pot_l.assign(num_left, 0.0);
+  pot_r.assign(num_right, 0.0);
+  dist_l.resize(num_left);
+  dist_r.resize(num_right);
+  prev_edge_r.resize(num_right);
 
-  std::vector<double> dist_l(num_left);
-  std::vector<double> dist_r(num_right);
-  std::vector<std::uint32_t> prev_edge_r(num_right);  // edge used to reach r
+  // Heap items: (distance, encoded node); lefts are [0, num_left), rights
+  // are num_left + r. push and pop are std::priority_queue's.
+  auto& heap = ws.heap;
+  const auto push = [&heap](double d, std::uint32_t node) {
+    heap.emplace_back(d, node);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
 
   // Successive shortest augmenting paths: each round runs one multi-source
   // Dijkstra from every free left node over reduced costs, augments along
@@ -52,27 +72,26 @@ MatchingResult min_cost_max_matching(std::size_t num_left,
     std::fill(dist_r.begin(), dist_r.end(), kInf);
     std::fill(prev_edge_r.begin(), prev_edge_r.end(), kNone);
 
-    // Heap items: (distance, encoded node); lefts are [0, num_left),
-    // rights are num_left + r.
-    using Item = std::pair<double, std::uint32_t>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+    heap.clear();
     for (std::uint32_t l = 0; l < num_left; ++l) {
       if (match_edge_l[l] == kNone) {
         dist_l[l] = 0.0;
-        heap.emplace(0.0, l);
+        push(0.0, l);
       }
     }
 
     double best_free_dist = kInf;
     std::uint32_t best_free_right = kNone;
     while (!heap.empty()) {
-      auto [d, node] = heap.top();
-      heap.pop();
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, node] = heap.back();
+      heap.pop_back();
       if (d >= best_free_dist) break;  // cheapest augmenting path found
       if (node < num_left) {
         const std::uint32_t l = node;
         if (d > dist_l[l]) continue;
-        for (std::uint32_t ei : adj[l]) {
+        for (std::uint32_t a = ws.adj_start[l]; a < ws.adj_start[l + 1]; ++a) {
+          const std::uint32_t ei = ws.adj_edge[a];
           if (ei == match_edge_l[l]) continue;  // matched arcs go r -> l
           const auto& e = edges[ei];
           const double reduced =
@@ -82,7 +101,7 @@ MatchingResult min_cost_max_matching(std::size_t num_left,
           if (nd < dist_r[e.right]) {
             dist_r[e.right] = nd;
             prev_edge_r[e.right] = ei;
-            heap.emplace(nd, static_cast<std::uint32_t>(num_left + e.right));
+            push(nd, static_cast<std::uint32_t>(num_left + e.right));
           }
         }
       } else {
@@ -103,7 +122,7 @@ MatchingResult min_cost_max_matching(std::size_t num_left,
         const double nd = d + std::max(reduced, 0.0);
         if (nd < dist_l[l2]) {
           dist_l[l2] = nd;
-          heap.emplace(nd, l2);
+          push(nd, l2);
         }
       }
     }
@@ -133,17 +152,26 @@ MatchingResult min_cost_max_matching(std::size_t num_left,
     }
   }
 
+  return static_cast<std::size_t>(
+      std::count_if(match_edge_l.begin(), match_edge_l.end(),
+                    [](std::uint32_t ei) { return ei != kNone; }));
+}
+
+MatchingResult min_cost_max_matching(std::size_t num_left,
+                                     std::size_t num_right,
+                                     const std::vector<BipartiteEdge>& edges) {
+  MatchingWorkspace ws;
   MatchingResult result;
+  result.cardinality = min_cost_max_matching(num_left, num_right, edges, ws);
   result.match_left.assign(num_left, std::nullopt);
   result.match_right.assign(num_right, std::nullopt);
   for (std::uint32_t l = 0; l < num_left; ++l) {
-    const std::uint32_t ei = match_edge_l[l];
+    const std::uint32_t ei = ws.match_edge_l[l];
     if (ei == kNone) continue;
     const auto& e = edges[ei];
     result.match_left[l] = e.right;
     result.match_right[e.right] = l;
     result.total_cost += e.cost;
-    ++result.cardinality;
   }
   return result;
 }

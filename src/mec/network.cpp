@@ -35,7 +35,6 @@ void MecNetwork::consume(graph::NodeId v, double amount,
                     "capacity exceeded at cloudlet");
   }
   residual_[v] -= amount;
-  residual_epoch_.bump();
 }
 
 void MecNetwork::release(graph::NodeId v, double amount) {
@@ -44,7 +43,6 @@ void MecNetwork::release(graph::NodeId v, double amount) {
   residual_[v] += amount;
   MECRA_CHECK_MSG(residual_[v] <= capacity_[v] + 1e-6,
                   "release would exceed the cloudlet capacity");
-  residual_epoch_.bump();
 }
 
 void MecNetwork::set_residual(graph::NodeId v, double value) {
@@ -53,7 +51,6 @@ void MecNetwork::set_residual(graph::NodeId v, double value) {
   MECRA_CHECK_MSG(value <= capacity_[v] + 1e-6,
                   "residual would exceed the cloudlet capacity");
   residual_[v] = value;
-  residual_epoch_.bump();
 }
 
 void MecNetwork::set_residual_fraction(double fraction) {
@@ -61,7 +58,6 @@ void MecNetwork::set_residual_fraction(double fraction) {
   for (graph::NodeId v : cloudlets_) {
     residual_[v] = capacity_[v] * fraction;
   }
-  residual_epoch_.bump();
 }
 
 double MecNetwork::total_capacity() const {

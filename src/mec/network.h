@@ -4,7 +4,6 @@
 // restricted to cloudlet nodes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -14,40 +13,6 @@
 #include "util/rng.h"
 
 namespace mecra::mec {
-
-/// Copyable atomic counter for MecNetwork's residual epoch. MecNetwork is
-/// copied and moved freely (sim drivers snapshot whole worlds), so the
-/// atomic needs value semantics: a copy starts at the source's current
-/// count, which is correct because epochs are only ever compared against
-/// values read from the SAME network object, and a copy's residuals equal
-/// the source's at copy time. Relaxed ordering suffices — concurrent
-/// bumpers (shard workers) touch disjoint node sets, so a reader's own
-/// mutations are always sequenced with its own epoch reads, and a stale
-/// view of another worker's bump can only cause a conservative refresh of
-/// nodes that worker never shares.
-class EpochCounter {
- public:
-  EpochCounter() = default;
-  EpochCounter(const EpochCounter& other) noexcept
-      : value_(other.value()) {}
-  EpochCounter& operator=(const EpochCounter& other) noexcept {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-  EpochCounter(EpochCounter&& other) noexcept : value_(other.value()) {}
-  EpochCounter& operator=(EpochCounter&& other) noexcept {
-    value_.store(other.value(), std::memory_order_relaxed);
-    return *this;
-  }
-
-  void bump() noexcept { value_.fetch_add(1, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
 
 class MecNetwork {
  public:
@@ -115,16 +80,6 @@ class MecNetwork {
   [[nodiscard]] double total_capacity() const;
   [[nodiscard]] double total_residual() const;
 
-  /// Monotonic counter bumped by every residual mutation (consume, release,
-  /// set_residual, set_residual_fraction). Caches keyed on residual state —
-  /// core::BmcgapArena's memoized model skeletons — compare a stored epoch
-  /// against this to decide whether their residual snapshots are stale.
-  /// Unchanged means NO residual anywhere changed, so reuse is always safe;
-  /// changed merely forces a (possibly unnecessary) refresh.
-  [[nodiscard]] std::uint64_t residual_epoch() const noexcept {
-    return residual_epoch_.value();
-  }
-
   /// Cloudlets in N_l^+(v): at most `l` hops from v (including v itself when
   /// it is a cloudlet), ascending node id. The one source of N_l^+ for
   /// placement: a bounded BFS over csr() (graph::members_within).
@@ -154,7 +109,6 @@ class MecNetwork {
   std::vector<double> capacity_;
   std::vector<double> residual_;
   std::vector<graph::NodeId> cloudlets_;
-  EpochCounter residual_epoch_;
 };
 
 }  // namespace mecra::mec

@@ -144,7 +144,7 @@ std::optional<Service> Orchestrator::admit_within(
                                        InstanceState::kRunning});
     }
     if (audit != nullptr) {
-      // Copy, not move: the instance lives in the arena's cache.
+      // Copy, not move: the instance lives in the arena.
       audit->instance = instance;
       audit->result = std::move(result);
     }

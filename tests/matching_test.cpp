@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "matching/hungarian.h"
@@ -140,22 +141,67 @@ struct SweepParams {
   bool negative;
 };
 
-class MatchingSweep : public ::testing::TestWithParam<SweepParams> {};
+std::vector<SweepParams> sweep_cases() {
+  std::vector<SweepParams> cases;
+  std::uint64_t seed = 4000;
+  for (std::size_t nl : {1u, 3u, 5u, 7u}) {
+    for (std::size_t nr : {1u, 4u, 6u}) {
+      for (double density : {0.3, 0.7, 1.0}) {
+        cases.push_back({seed++, nl, nr, density, false});
+        cases.push_back({seed++, nl, nr, density, true});
+      }
+    }
+  }
+  return cases;
+}
 
-TEST_P(MatchingSweep, MatchesBruteForceAndFlowReduction) {
-  const auto [seed, nl, nr, density, negative] = GetParam();
-  util::Rng rng(seed);
+std::vector<BipartiteEdge> sweep_edges(const SweepParams& p) {
+  util::Rng rng(p.seed);
   std::vector<BipartiteEdge> edges;
-  for (std::uint32_t l = 0; l < nl; ++l) {
-    for (std::uint32_t r = 0; r < nr; ++r) {
-      if (rng.bernoulli(density)) {
-        const double lo = negative ? -5.0 : 0.0;
+  for (std::uint32_t l = 0; l < p.nl; ++l) {
+    for (std::uint32_t r = 0; r < p.nr; ++r) {
+      if (rng.bernoulli(p.density)) {
+        const double lo = p.negative ? -5.0 : 0.0;
         edges.push_back({l, r, rng.uniform(lo, 10.0)});
       }
     }
   }
+  return edges;
+}
+
+class MatchingSweep : public ::testing::TestWithParam<SweepParams> {};
+
+TEST_P(MatchingSweep, MatchesBruteForceAndFlowReduction) {
+  const auto [seed, nl, nr, density, negative] = GetParam();
+  const std::vector<BipartiteEdge> edges = sweep_edges(GetParam());
 
   const auto got = min_cost_max_matching(nl, nr, edges);
+
+  // One workspace reused across the whole sweep: it solves every case up
+  // to this one in sweep order, each leaving buffers of another size and
+  // content behind, and must match the allocating overload bit for bit.
+  static MatchingWorkspace ws;
+  for (const SweepParams& p : sweep_cases()) {
+    if (p.seed > seed) break;
+    const std::vector<BipartiteEdge> p_edges = sweep_edges(p);
+    const std::size_t card = min_cost_max_matching(p.nl, p.nr, p_edges, ws);
+    const auto fresh = min_cost_max_matching(p.nl, p.nr, p_edges);
+    ASSERT_EQ(card, fresh.cardinality) << "seed " << p.seed;
+    ASSERT_EQ(ws.match_edge_l.size(), p.nl);
+    double cost = 0.0;
+    for (std::uint32_t l = 0; l < p.nl; ++l) {
+      const std::uint32_t ei = ws.match_edge_l[l];
+      ASSERT_EQ(ei == kUnmatched ? std::nullopt
+                                 : std::optional<std::uint32_t>(
+                                       p_edges[ei].right),
+                fresh.match_left[l])
+          << "seed " << p.seed << " left " << l;
+      if (ei != kUnmatched) cost += p_edges[ei].cost;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cost),
+              std::bit_cast<std::uint64_t>(fresh.total_cost))
+        << "seed " << p.seed;
+  }
 
   // Internal consistency: symmetric match arrays, costs add up.
   double cost_check = 0.0;
@@ -202,20 +248,6 @@ TEST_P(MatchingSweep, MatchesBruteForceAndFlowReduction) {
   const auto f = flow.solve(s, t);
   EXPECT_NEAR(f.max_flow, static_cast<double>(got.cardinality), 1e-9);
   EXPECT_NEAR(f.total_cost + min_c * f.max_flow, got.total_cost, 1e-6);
-}
-
-std::vector<SweepParams> sweep_cases() {
-  std::vector<SweepParams> cases;
-  std::uint64_t seed = 4000;
-  for (std::size_t nl : {1u, 3u, 5u, 7u}) {
-    for (std::size_t nr : {1u, 4u, 6u}) {
-      for (double density : {0.3, 0.7, 1.0}) {
-        cases.push_back({seed++, nl, nr, density, false});
-        cases.push_back({seed++, nl, nr, density, true});
-      }
-    }
-  }
-  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -26,6 +27,7 @@
 #include "core/randomized_rounding.h"
 #include "core/validator.h"
 #include "ilp/branch_and_bound.h"
+#include "matching/hungarian.h"
 #include "test_fixtures.h"
 
 namespace mecra::core {
@@ -328,6 +330,152 @@ TEST(Monotonicity, WiderHopRadiusNeverHurtsTheOptimum) {
     }
   }
 }
+
+// ------------------------------------------ Algorithm 2 exact pruning
+
+/// Algorithm 2 as first written, kept as the reference for the pruned
+/// rounds of augment_heuristic: every round matches over EVERY remaining
+/// item, each with its own edges, through the allocating
+/// matching::min_cost_max_matching, and matched items are retired by flag.
+/// Returns the untrimmed, finalized result.
+AugmentationResult reference_heuristic(const BmcgapInstance& instance,
+                                       BudgetMode mode) {
+  AugmentationResult result;
+  result.algorithm = "Heuristic";
+  if (instance.initial_reliability >= instance.expectation) {
+    finalize_result(instance, result);
+    return result;
+  }
+  std::vector<double> residual = instance.residual;
+  std::vector<bool> retired(instance.num_items(), false);
+  std::vector<std::uint32_t> counts(instance.functions.size(), 0);
+  double eq3_cost = 0.0;
+  std::size_t rounds = 0;
+  for (;;) {
+    std::vector<matching::BipartiteEdge> edges;
+    for (std::uint32_t idx = 0; idx < instance.num_items(); ++idx) {
+      if (retired[idx]) continue;
+      const ItemRef& item = instance.items[idx];
+      const auto& fn = instance.functions[item.chain_pos];
+      const double cost = instance.item_cost(item);
+      for (graph::NodeId u : fn.allowed) {
+        const std::size_t c = instance.cloudlet_index(u);
+        if (residual[c] >= fn.demand) {
+          edges.push_back(matching::BipartiteEdge{
+              static_cast<std::uint32_t>(c), idx, cost});
+        }
+      }
+    }
+    if (edges.empty()) break;
+    const auto matched = matching::min_cost_max_matching(
+        instance.cloudlets.size(), instance.num_items(), edges);
+    if (matched.cardinality == 0) break;
+    ++rounds;
+    for (std::size_t c = 0; c < instance.cloudlets.size(); ++c) {
+      if (!matched.match_left[c].has_value()) continue;
+      const std::uint32_t idx = *matched.match_left[c];
+      const ItemRef& item = instance.items[idx];
+      residual[c] -= instance.functions[item.chain_pos].demand;
+      retired[idx] = true;
+      ++counts[item.chain_pos];
+      eq3_cost += instance.item_cost(item);
+      result.placements.push_back(
+          SecondaryPlacement{item.chain_pos, instance.cloudlets[c]});
+    }
+    if (mode == BudgetMode::kLiteralCostBudget) {
+      if (eq3_cost >= instance.budget) break;
+    } else if (instance.reliability_for_counts(counts) >=
+               instance.expectation) {
+      break;
+    }
+  }
+  result.solver_nodes = rounds;
+  finalize_result(instance, result);
+  return result;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_result(const AugmentationResult& got,
+                        const AugmentationResult& want, std::uint64_t seed) {
+  ASSERT_EQ(got.placements, want.placements) << "seed " << seed;
+  ASSERT_EQ(got.secondaries, want.secondaries) << "seed " << seed;
+  ASSERT_EQ(got.solver_nodes, want.solver_nodes) << "seed " << seed;
+  ASSERT_EQ(bits(got.achieved_reliability), bits(want.achieved_reliability))
+      << "seed " << seed;
+  ASSERT_EQ(bits(got.objective_gain), bits(want.objective_gain))
+      << "seed " << seed;
+}
+
+/// One block of 1,000 seeded instances; the blocks run as separate tests.
+class HeuristicExactness : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HeuristicExactness, PrunedRoundsMatchTheFullGraphBitForBit) {
+  // make_scenario instances over 30-400 APs (skewed small: generation is
+  // quadratic), chains of 2-10, residual 2-92 %, l = 1-3 and rho in
+  // [0.9, 0.9999]; reliabilities drawn from [0.5, 0.99] or all equal (and
+  // then sometimes all demands equal, so items of different functions
+  // tie), chains with repeated functions, and both budget modes with trim
+  // on and off.
+  const std::uint64_t block = GetParam();
+  util::Rng pick(20260 + block);
+  std::size_t instances = 0;
+  std::size_t multi_round = 0;
+  for (std::uint64_t seed = 1'000'000 * block + 1; instances < 1000; ++seed) {
+    sim::ScenarioParams params;
+    const double u = pick.uniform01();
+    params.num_aps = 30 + static_cast<std::size_t>(370.0 * u * u + 0.5);
+    const std::size_t len = 2 + pick.index(9);
+    params.request.chain_length_low = len;
+    params.request.chain_length_high = len;
+    params.request.expectation = pick.uniform(0.9, 0.9999);
+    params.residual_fraction = pick.uniform(0.02, 0.92);
+    params.bmcgap.l_hops = static_cast<std::uint32_t>(1 + pick.index(3));
+    params.catalog.reliability_low = 0.5;
+    params.catalog.reliability_high = 0.99;
+    if (pick.bernoulli(0.25)) {
+      const double r = pick.uniform(0.5, 0.99);
+      params.catalog.reliability_low = r;
+      params.catalog.reliability_high = r;
+      if (pick.bernoulli(0.5)) params.catalog.demand_high = 200.0;
+    }
+    if (pick.bernoulli(0.3)) {
+      params.request.distinct_functions = false;
+      params.catalog.num_functions = 1 + pick.index(4);
+    }
+    util::Rng rng(seed);
+    const auto scenario = sim::make_scenario(params, rng);
+    if (!scenario.has_value()) continue;
+    ++instances;
+    const BmcgapInstance& inst = scenario->instance;
+
+    // The literal cost budget never trims; the reliability target trims
+    // the same placements the untrimmed run makes.
+    const AugmentationResult literal =
+        reference_heuristic(inst, BudgetMode::kLiteralCostBudget);
+    const AugmentationResult untrimmed =
+        reference_heuristic(inst, BudgetMode::kReliabilityTarget);
+    AugmentationResult trimmed = untrimmed;
+    trim_to_expectation(inst, trimmed);
+    finalize_result(inst, trimmed);
+    for (const bool trim : {true, false}) {
+      AugmentOptions opt;
+      opt.trim_to_expectation = trim;
+      ASSERT_NO_FATAL_FAILURE(expect_same_result(
+          augment_heuristic(inst, opt), trim ? trimmed : untrimmed, seed));
+      opt.budget_mode = BudgetMode::kLiteralCostBudget;
+      ASSERT_NO_FATAL_FAILURE(
+          expect_same_result(augment_heuristic(inst, opt), literal, seed));
+    }
+    if (untrimmed.solver_nodes > 1) ++multi_round;
+  }
+  // The block must reach the rounds after the first, where the pruning's
+  // carried prefix counts matter.
+  EXPECT_GT(multi_round, 250u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Blocks, HeuristicExactness,
+                         ::testing::Range<std::uint64_t>(0, 5));
 
 // ---------------------------------------------- randomized concentration
 
