@@ -91,7 +91,7 @@ void build_bmcgap_into(BmcgapInstance& inst, const mec::MecNetwork& network,
     bf.primary = primary;
     bf.reliability = fn.reliability;
     bf.demand = fn.cpu_demand;
-    bf.allowed = network.cloudlets_within(primary, options.l_hops);
+    network.cloudlets_within(primary, options.l_hops, bf.allowed);
 
     // K_i: capacity-supported count across the allowed cloudlets (the
     // paper's sum of floor(C'_u / c(f_i))) intersected with the

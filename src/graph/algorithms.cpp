@@ -105,12 +105,18 @@ std::vector<std::uint32_t> bfs_hops(const CsrGraph& g, NodeId source) {
 
 std::vector<NodeId> members_within(const CsrGraph& g, NodeId v,
                                    std::uint32_t l) {
+  const std::span<const NodeId> ball = walk_within(g, v, l);
+  std::vector<NodeId> out(ball.begin(), ball.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::span<const NodeId> walk_within(const CsrGraph& g, NodeId v,
+                                    std::uint32_t l) {
   MECRA_CHECK(v < g.num_nodes());
   Scratch& s = fresh_scratch(g.num_nodes());
   bounded_bfs(g, s, v, l, [](NodeId) { return false; });
-  std::vector<NodeId> out(s.queue.begin(), s.queue.end());
-  std::sort(out.begin(), out.end());
-  return out;
+  return s.queue;
 }
 
 std::vector<std::uint32_t> hops_to_targets(const CsrGraph& g, NodeId source,

@@ -48,6 +48,13 @@ inline constexpr std::uint32_t kUnreachable =
 [[nodiscard]] std::vector<NodeId> members_within(const CsrGraph& g, NodeId v,
                                                  std::uint32_t l);
 
+/// The same nodes in walk order (by hop count, not by id), as a view of
+/// the calling thread's walk scratch: it holds until the thread's next
+/// bounded query (members_within, walk_within or hops_to_targets). For
+/// callers that keep a subset in storage of their own.
+[[nodiscard]] std::span<const NodeId> walk_within(const CsrGraph& g, NodeId v,
+                                                  std::uint32_t l);
+
 /// Hop distances from `source` to each of `targets` (kUnreachable when
 /// disconnected), parallel to `targets`; duplicates and `source` itself are
 /// allowed. The walk stops as soon as every target is settled, so near

@@ -102,7 +102,9 @@ void append_number(std::string& out, double d) {
   out.append(buf, ptr);
 }
 
-struct Dumper {
+}  // namespace
+
+struct Json::Dumper {
   int indent;
   std::string& out;
 
@@ -113,7 +115,9 @@ struct Dumper {
   }
 
   void dump(const Json& v, int depth) {  // NOLINT(misc-no-recursion)
-    if (v.is_null()) {
+    if (const Raw* raw = std::get_if<Raw>(&v.value_)) {
+      out += raw->text;  // already compact, at any indent
+    } else if (v.is_null()) {
       out += "null";
     } else if (v.is_bool()) {
       out += v.as_bool() ? "true" : "false";
@@ -155,7 +159,7 @@ struct Dumper {
   }
 };
 
-}  // namespace
+Json Json::raw(std::string compact) { return Json(Raw{std::move(compact)}); }
 
 std::string Json::dump(int indent) const {
   std::string out;

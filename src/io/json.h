@@ -107,10 +107,28 @@ class Json {
 
   /// Strict parse of exactly `text` (a view into a longer buffer stops at
   /// the view's end); throws util::CheckFailure with position info on
-  /// errors, including trailing characters inside the view.
+  /// errors, including trailing characters inside the view. Never yields a
+  /// raw() value.
   [[nodiscard]] static Json parse(std::string_view text);
 
+  /// A value that holds already-serialized compact JSON text: dump() and
+  /// dump_append() copy `compact` verbatim wherever the value sits (also
+  /// inside a pretty-printed container, which leaves it compact), every
+  /// is_*() is false and every as_*() throws. Nothing checks that
+  /// `compact` is one valid JSON value; the caller builds it with the
+  /// building blocks below. The journal's payload writers
+  /// (orchestrator/journal.cpp) serialize a record once this way, so no
+  /// tree is built only to be written.
+  [[nodiscard]] static Json raw(std::string compact);
+
  private:
+  struct Raw {
+    std::string text;
+  };
+  struct Dumper;  // json.cpp
+
+  explicit Json(Raw raw) : value_(std::move(raw)) {}
+
   template <typename T>
   [[nodiscard]] bool holds() const {
     return std::holds_alternative<T>(value_);
@@ -123,13 +141,13 @@ class Json {
   }
 
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
+               JsonObject, Raw>
       value_;
 };
 
-// Serializer building blocks, exposed so hand-assembled payloads (the
-// journal's record envelope) can match Json::dump byte for byte without
-// constructing a JsonObject first.
+// Serializer building blocks, exposed so hand-assembled text (the
+// journal's record envelope and payloads) can match Json::dump byte for
+// byte without constructing a tree first.
 
 /// Appends the JSON string literal (quotes + standard escapes) for `s`.
 void dump_string_append(std::string& out, std::string_view s);

@@ -64,17 +64,29 @@ std::size_t min_cost_max_matching(std::size_t num_left, std::size_t num_right,
     std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   };
 
+  // No matching is larger than the right side or than the left nodes that
+  // have an edge; once it reaches that size no augmenting path exists, and
+  // the Dijkstra that would prove it is skipped.
+  std::size_t left_with_edges = 0;
+  for (std::uint32_t l = 0; l < num_left; ++l) {
+    if (ws.adj_start[l] != ws.adj_start[l + 1]) ++left_with_edges;
+  }
+  const std::size_t max_cardinality = std::min(left_with_edges, num_right);
+
   // Successive shortest augmenting paths: each round runs one multi-source
   // Dijkstra from every free left node over reduced costs, augments along
   // the cheapest path to a free right node, then re-tightens potentials.
-  for (;;) {
+  // A free left node without edges would pop and relax nothing (and its
+  // potential is never read), so it is not a source.
+  std::size_t cardinality = 0;
+  while (cardinality < max_cardinality) {
     std::fill(dist_l.begin(), dist_l.end(), kInf);
     std::fill(dist_r.begin(), dist_r.end(), kInf);
     std::fill(prev_edge_r.begin(), prev_edge_r.end(), kNone);
 
     heap.clear();
     for (std::uint32_t l = 0; l < num_left; ++l) {
-      if (match_edge_l[l] == kNone) {
+      if (match_edge_l[l] == kNone && ws.adj_start[l] != ws.adj_start[l + 1]) {
         dist_l[l] = 0.0;
         push(0.0, l);
       }
@@ -150,11 +162,9 @@ std::size_t min_cost_max_matching(std::size_t num_left, std::size_t num_right,
       if (displaced == kNone) break;
       r = edges[displaced].right;
     }
+    ++cardinality;
   }
-
-  return static_cast<std::size_t>(
-      std::count_if(match_edge_l.begin(), match_edge_l.end(),
-                    [](std::uint32_t ei) { return ei != kNone; }));
+  return cardinality;
 }
 
 MatchingResult min_cost_max_matching(std::size_t num_left,

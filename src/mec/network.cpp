@@ -72,16 +72,22 @@ double MecNetwork::total_residual() const {
   return total;
 }
 
-std::vector<graph::NodeId> MecNetwork::cloudlets_within(
-    graph::NodeId v, std::uint32_t l) const {
+void MecNetwork::cloudlets_within(graph::NodeId v, std::uint32_t l,
+                                  std::vector<graph::NodeId>& out) const {
   MECRA_CHECK(v < num_nodes());
   // Bounded walk: O(|ball(v, l)|) instead of a full-network BFS, equal to
   // filtering bfs_hops (asserted in csr_query_test).
-  const auto ball = graph::members_within(csr(), v, l);
-  std::vector<graph::NodeId> out;
-  for (graph::NodeId u : ball) {
+  out.clear();
+  for (graph::NodeId u : graph::walk_within(csr(), v, l)) {
     if (capacity_[u] > 0.0) out.push_back(u);
   }
+  std::sort(out.begin(), out.end());
+}
+
+std::vector<graph::NodeId> MecNetwork::cloudlets_within(
+    graph::NodeId v, std::uint32_t l) const {
+  std::vector<graph::NodeId> out;
+  cloudlets_within(v, l, out);
   return out;
 }
 

@@ -81,8 +81,13 @@ class MecNetwork {
   [[nodiscard]] double total_residual() const;
 
   /// Cloudlets in N_l^+(v): at most `l` hops from v (including v itself when
-  /// it is a cloudlet), ascending node id. The one source of N_l^+ for
-  /// placement: a bounded BFS over csr() (graph::members_within).
+  /// it is a cloudlet), ascending node id, written into `out` (its storage
+  /// is reused). The one source of N_l^+ for placement: a bounded BFS over
+  /// csr() (graph::walk_within) of which only the cloudlets are kept and
+  /// sorted.
+  void cloudlets_within(graph::NodeId v, std::uint32_t l,
+                        std::vector<graph::NodeId>& out) const;
+  /// The same set as a new vector.
   [[nodiscard]] std::vector<graph::NodeId> cloudlets_within(
       graph::NodeId v, std::uint32_t l) const;
 

@@ -4,9 +4,12 @@
 #include <array>
 #include <charconv>
 #include <filesystem>
-#include <set>
+#include <span>
+#include <string>
 #include <system_error>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "io/scenario_io.h"
 #include "obs/metrics.h"
@@ -50,38 +53,145 @@ std::uint32_t load_u32_le(const char* p) {
           << 24);
 }
 
-/// [f(x) for x in items]. Built in pre-sized slots rather than by
-/// push_back: moving Json temporaries through vector growth trips a gcc-12
-/// std::variant -Wmaybe-uninitialized false positive at -O2 and above.
-template <typename Range, typename F>
-io::Json json_array(const Range& items, F f) {
-  io::JsonArray arr(std::size(items));
-  std::size_t i = 0;
-  for (const auto& x : items) arr[i++] = f(x);
-  return io::Json(std::move(arr));
+// --- payload writers ---
+//
+// Every payload is serialized once, straight from live state, into one
+// string with the io::dump_* building blocks: a value is written as the
+// io::Json constructed from it would dump (numbers through double), keys
+// are literals that need no escaping, and nothing is whitespace. The text
+// is therefore the compact dump of the io::Json tree with the same
+// members in the same order, byte for byte (tests/journal_test.cpp keeps
+// such a tree-built reference and compares every writer with it).
+
+template <typename T>
+void put_value(std::string& out, T x) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out += x ? "true" : "false";
+    return;
+  } else if constexpr (std::is_integral_v<T>) {
+    // Below 2^53 the double path prints exactly the integer's digits.
+    if (std::cmp_greater_equal(x, 0) && std::cmp_less(x, 1ULL << 53)) {
+      char buf[24];
+      const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, x);
+      out.append(buf, end);
+      return;
+    }
+  }
+  io::dump_number_append(out, static_cast<double>(x));
 }
 
-/// [a, b], built like json_array.
-io::Json json_pair(io::Json a, io::Json b) {
-  io::JsonArray pair(2);
-  pair[0] = std::move(a);
-  pair[1] = std::move(b);
-  return io::Json(std::move(pair));
+/// `text` (the punctuation and key before a member's value), then `x`.
+template <typename T>
+void put_member(std::string& out, std::string_view text, T x) {
+  out += text;
+  put_value(out, x);
 }
 
-io::Json instance_to_json(const Instance& inst) {
+/// `[put(x) for x in items]`.
+template <typename Range, typename Put>
+void put_array(std::string& out, const Range& items, Put put) {
+  out += '[';
+  bool first = true;
+  for (const auto& x : items) {
+    if (!first) out += ',';
+    first = false;
+    put(out, x);
+  }
+  out += ']';
+}
+
+void put_instance(std::string& out, const Instance& inst) {
   // Ids round-trip through double; anything near 2^53 (in particular the
   // orchestrator's pending-id sentinel) must never reach a record.
   MECRA_CHECK_MSG(inst.id < (1ULL << 53),
                   "journal: instance id too large to serialize");
-  io::JsonObject o;
-  o.set("id", io::Json(inst.id));
-  o.set("pos", io::Json(inst.chain_pos));
-  o.set("cloudlet", io::Json(inst.cloudlet));
-  o.set("role", io::Json(static_cast<int>(inst.role)));
-  o.set("state", io::Json(static_cast<int>(inst.state)));
-  return {std::move(o)};
+  put_member(out, R"({"id":)", inst.id);
+  put_member(out, R"(,"pos":)", inst.chain_pos);
+  put_member(out, R"(,"cloudlet":)", inst.cloudlet);
+  put_member(out, R"(,"role":)", static_cast<int>(inst.role));
+  put_member(out, R"(,"state":)", static_cast<int>(inst.state));
+  out += '}';
 }
+
+/// The request as io::to_json(const mec::SfcRequest&) writes it.
+void put_request(std::string& out, const mec::SfcRequest& request) {
+  put_member(out, R"({"id":)", request.id);
+  out += R"(,"chain":)";
+  put_array(out, request.chain, put_value<mec::FunctionId>);
+  put_member(out, R"(,"expectation":)", request.expectation);
+  put_member(out, R"(,"source":)", request.source);
+  put_member(out, R"(,"destination":)", request.destination);
+  out += '}';
+}
+
+void put_service(std::string& out, const Service& svc) {
+  MECRA_CHECK_MSG(svc.id < (1ULL << 53),
+                  "journal: service id too large to serialize");
+  put_member(out, R"({"id":)", svc.id);
+  out += R"(,"request":)";
+  put_request(out, svc.request);
+  put_member(out, R"(,"state":)", static_cast<int>(svc.state));
+  out += R"(,"instances":)";
+  put_array(out, svc.instances, put_instance);
+  out += '}';
+}
+
+void put_controller_state(std::string& out, const ControllerState& state) {
+  out += R"({"tracked":)";
+  put_array(out, state.tracked,
+            [](std::string& o, const ControllerState::Entry& entry) {
+              put_member(o, R"({"service":)", entry.service);
+              put_member(o, R"(,"dirty":)", entry.dirty);
+              put_member(o, R"(,"not_before":)", entry.not_before);
+              put_member(o, R"(,"backoff":)", entry.backoff);
+              o += '}';
+            });
+  out += R"(,"repair_queue":)";
+  put_array(out, state.repair_queue, [](std::string& o, const auto& entry) {
+    put_member(o, "[", entry.first);
+    put_member(o, ",", entry.second);
+    o += ']';
+  });
+  put_member(out, R"(,"next_batch":)", state.next_batch);
+  put_member(out, R"(,"last_now":)", state.last_now);
+  const ControllerMetrics& m = state.metrics;
+  put_member(out, R"(,"metrics":{"repairs":)", m.repairs);
+  put_member(out, R"(,"reaugment_attempts":)", m.reaugment_attempts);
+  put_member(out, R"(,"reaugment_successes":)", m.reaugment_successes);
+  put_member(out, R"(,"reaugment_failures":)", m.reaugment_failures);
+  put_member(out, R"(,"standbys_added":)", m.standbys_added);
+  put_member(out, R"(,"revivals":)", m.revivals);
+  out += "}}";
+}
+
+/// Post-event residuals of every cloudlet hosting an instance of the given
+/// services, ascending node id, as [[node, residual], ...]. Replay
+/// installs these verbatim (see the file comment on why the consume
+/// arithmetic is not replayed).
+void put_touched_residuals(std::string& out, const mec::MecNetwork& network,
+                           std::span<const Service* const> services) {
+  std::vector<graph::NodeId> nodes;
+  for (const Service* svc : services) {
+    for (const Instance& inst : svc->instances) nodes.push_back(inst.cloudlet);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  put_array(out, nodes, [&network](std::string& o, graph::NodeId v) {
+    put_member(o, "[", v);
+    put_member(o, ",", network.residual(v));
+    o += ']';
+  });
+}
+
+/// Payload of the cloudlet_outage and repair records.
+io::Json cloudlet_record(graph::NodeId v) {
+  std::string out;
+  put_member(out, R"({"cloudlet":)", v);
+  out += '}';
+  return io::Json::raw(std::move(out));
+}
+
+// --- payload readers (recover) ---
 
 Instance instance_from_json(const io::Json& json) {
   const io::JsonObject& o = json.as_object();
@@ -94,17 +204,6 @@ Instance instance_from_json(const io::Json& json) {
   return inst;
 }
 
-io::Json service_to_json(const Service& svc) {
-  MECRA_CHECK_MSG(svc.id < (1ULL << 53),
-                  "journal: service id too large to serialize");
-  io::JsonObject o;
-  o.set("id", io::Json(svc.id));
-  o.set("request", io::to_json(svc.request));
-  o.set("state", io::Json(static_cast<int>(svc.state)));
-  o.set("instances", json_array(svc.instances, instance_to_json));
-  return {std::move(o)};
-}
-
 Service service_from_json(const io::Json& json) {
   const io::JsonObject& o = json.as_object();
   Service svc;
@@ -115,34 +214,6 @@ Service service_from_json(const io::Json& json) {
     svc.instances.push_back(instance_from_json(inst));
   }
   return svc;
-}
-
-io::Json controller_state_to_json(const ControllerState& state) {
-  io::JsonObject o;
-  o.set("tracked",
-        json_array(state.tracked, [](const ControllerState::Entry& entry) {
-          io::JsonObject e;
-          e.set("service", io::Json(entry.service));
-          e.set("dirty", io::Json(entry.dirty));
-          e.set("not_before", io::Json(entry.not_before));
-          e.set("backoff", io::Json(entry.backoff));
-          return io::Json(std::move(e));
-        }));
-  o.set("repair_queue",
-        json_array(state.repair_queue, [](const auto& entry) {
-          return json_pair(io::Json(entry.first), io::Json(entry.second));
-        }));
-  o.set("next_batch", io::Json(state.next_batch));
-  o.set("last_now", io::Json(state.last_now));
-  io::JsonObject m;
-  m.set("repairs", io::Json(state.metrics.repairs));
-  m.set("reaugment_attempts", io::Json(state.metrics.reaugment_attempts));
-  m.set("reaugment_successes", io::Json(state.metrics.reaugment_successes));
-  m.set("reaugment_failures", io::Json(state.metrics.reaugment_failures));
-  m.set("standbys_added", io::Json(state.metrics.standbys_added));
-  m.set("revivals", io::Json(state.metrics.revivals));
-  o.set("metrics", io::Json(std::move(m)));
-  return {std::move(o)};
 }
 
 ControllerState controller_state_from_json(const io::Json& json) {
@@ -175,21 +246,6 @@ ControllerState controller_state_from_json(const io::Json& json) {
       static_cast<std::size_t>(m.at("standbys_added").as_int());
   state.metrics.revivals = static_cast<std::size_t>(m.at("revivals").as_int());
   return state;
-}
-
-/// Post-event residuals of every cloudlet hosting an instance of the given
-/// services, ascending node id, as [[node, residual], ...]. Replay
-/// installs these verbatim (see the file comment on why the consume
-/// arithmetic is not replayed).
-io::Json touched_residuals(const mec::MecNetwork& network,
-                           const std::vector<const Service*>& services) {
-  std::set<graph::NodeId> nodes;
-  for (const Service* svc : services) {
-    for (const Instance& inst : svc->instances) nodes.insert(inst.cloudlet);
-  }
-  return json_array(nodes, [&network](graph::NodeId v) {
-    return json_pair(io::Json(v), io::Json(network.residual(v)));
-  });
 }
 
 /// Applies a record's "residuals" array to the recovering orchestrator.
@@ -483,7 +539,9 @@ std::uint64_t Journal::append(std::string_view kind, double time,
   // scratch buffer. Building a JsonObject wrapper (five allocating inserts
   // plus the temporary dump() returns) costs more than the physical write
   // it frames; the io::dump_* building blocks produce output byte-identical
-  // to that wrapper's dump (asserted in tests/journal_test.cpp).
+  // to that wrapper's dump (asserted in tests/journal_test.cpp). The typed
+  // writers' data is already text (io::Json::raw), so dump_append copies
+  // it: append only frames and checksums.
   std::string& payload = payload_scratch_;
   payload.clear();
   payload += "{\"v\":";
@@ -567,47 +625,61 @@ void Journal::flush_pending() {
 
 io::Json make_snapshot_record(const Orchestrator& orch,
                               const Controller& controller) {
-  io::JsonObject data;
-  data.set("network", io::to_json(orch.network()));
-  data.set("catalog", io::to_json(orch.catalog()));
-  data.set("services", json_array(orch.services(), [&orch](ServiceId id) {
-             return service_to_json(orch.service(id));
-           }));
-  data.set("down", json_array(orch.down_cloudlets(),
-                              [](graph::NodeId v) { return io::Json(v); }));
-  data.set("next_service", io::Json(orch.next_service_id()));
-  data.set("next_instance", io::Json(orch.next_instance_id()));
-  data.set("has_shard_map", io::Json(orch.has_shard_map()));
-  data.set("controller", controller_state_to_json(controller.state()));
-  return io::Json(std::move(data));
+  std::string out = R"({"network":)";
+  // The network and catalog keep their one encoder (io/scenario_io.h).
+  io::to_json(orch.network()).dump_append(out);
+  out += R"(,"catalog":)";
+  io::to_json(orch.catalog()).dump_append(out);
+  out += R"(,"services":)";
+  put_array(out, orch.services(), [&orch](std::string& o, ServiceId id) {
+    put_service(o, orch.service(id));
+  });
+  out += R"(,"down":)";
+  put_array(out, orch.down_cloudlets(), put_value<graph::NodeId>);
+  put_member(out, R"(,"next_service":)", orch.next_service_id());
+  put_member(out, R"(,"next_instance":)", orch.next_instance_id());
+  put_member(out, R"(,"has_shard_map":)", orch.has_shard_map());
+  out += R"(,"controller":)";
+  put_controller_state(out, controller.state());
+  out += '}';
+  return io::Json::raw(std::move(out));
 }
 
 io::Json make_admit_record(const Orchestrator& orch, const Service& svc) {
-  io::JsonObject data;
-  data.set("service", service_to_json(svc));
-  data.set("residuals", touched_residuals(orch.network(), {&svc}));
-  return io::Json(std::move(data));
+  std::string out = R"({"service":)";
+  put_service(out, svc);
+  out += R"(,"residuals":)";
+  const Service* const touched[] = {&svc};
+  put_touched_residuals(out, orch.network(), touched);
+  out += '}';
+  return io::Json::raw(std::move(out));
 }
 
 io::Json make_batch_record(const Orchestrator& orch,
                            const std::vector<const Service*>& admitted) {
-  io::JsonObject data;
-  data.set("services", json_array(admitted, [](const Service* svc) {
-             return service_to_json(*svc);
-           }));
-  data.set("residuals", touched_residuals(orch.network(), admitted));
+  // A streamed window's batch holds about 0.9 KB per service: one
+  // allocation up front instead of a doubling chain of them.
+  std::string out;
+  out.reserve(64 + 1024 * admitted.size());
+  out += R"({"services":)";
+  put_array(out, admitted,
+            [](std::string& o, const Service* svc) { put_service(o, *svc); });
+  out += R"(,"residuals":)";
+  put_touched_residuals(out, orch.network(), admitted);
   // Batches burn ids only for admitted requests, but recovery still resets
   // the counters explicitly so departed-then-crashed histories replay to
   // the same next ids.
-  data.set("next_service", io::Json(orch.next_service_id()));
-  data.set("next_instance", io::Json(orch.next_instance_id()));
-  return io::Json(std::move(data));
+  put_member(out, R"(,"next_service":)", orch.next_service_id());
+  put_member(out, R"(,"next_instance":)", orch.next_instance_id());
+  out += '}';
+  return io::Json::raw(std::move(out));
 }
 
 io::Json make_teardown_record(ServiceId service) {
-  io::JsonObject data;
-  data.set("service", io::Json(service));
-  return io::Json(std::move(data));
+  std::string out;
+  put_member(out, R"({"service":)", service);
+  out += '}';
+  return io::Json::raw(std::move(out));
 }
 
 std::uint64_t Journal::snapshot(const Orchestrator& orch,
@@ -628,22 +700,19 @@ std::uint64_t Journal::batch_commit(
 
 std::uint64_t Journal::instance_failure(ServiceId service, InstanceId instance,
                                         double time) {
-  io::JsonObject data;
-  data.set("service", io::Json(service));
-  data.set("instance", io::Json(instance));
-  return append(kJournalInstanceFailure, time, io::Json(std::move(data)));
+  std::string out;
+  put_member(out, R"({"service":)", service);
+  put_member(out, R"(,"instance":)", instance);
+  out += '}';
+  return append(kJournalInstanceFailure, time, io::Json::raw(std::move(out)));
 }
 
 std::uint64_t Journal::cloudlet_outage(graph::NodeId v, double time) {
-  io::JsonObject data;
-  data.set("cloudlet", io::Json(v));
-  return append(kJournalCloudletOutage, time, io::Json(std::move(data)));
+  return append(kJournalCloudletOutage, time, cloudlet_record(v));
 }
 
 std::uint64_t Journal::repair(graph::NodeId v, double time) {
-  io::JsonObject data;
-  data.set("cloudlet", io::Json(v));
-  return append(kJournalRepair, time, io::Json(std::move(data)));
+  return append(kJournalRepair, time, cloudlet_record(v));
 }
 
 std::uint64_t Journal::teardown(ServiceId service, double time) {
@@ -651,7 +720,7 @@ std::uint64_t Journal::teardown(ServiceId service, double time) {
 }
 
 std::uint64_t Journal::reconcile_mark(double time) {
-  return append(kJournalReconcile, time, io::Json(io::JsonObject{}));
+  return append(kJournalReconcile, time, io::Json::raw("{}"));
 }
 
 JournalScan scan_journal(const std::string& path) {

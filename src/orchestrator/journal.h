@@ -21,7 +21,10 @@
 //
 // The envelope up to `"data":` is an exact byte prefix — append() writes
 // it by hand, without whitespace — so a reader decodes it without building
-// any JSON. Sequence numbers are dense and start at 0.
+// any JSON. Sequence numbers are dense and start at 0. The typed writers
+// below serialize their data straight from live state into text (an
+// io::Json::raw value), which append() copies after the envelope: the
+// write path builds no JSON tree, except a snapshot's network and catalog.
 //
 // Reading. One frame walker (journal.cpp) reads the file a frame at a time
 // into one reused buffer and checks every frame's length, CRC-32, format
@@ -185,7 +188,9 @@ class Journal {
   /// reaches the file now (kPerRecord) or waits in the pending group
   /// (kPerGroup). Returns the record's sequence number, assigned eagerly.
   /// `kind` must not need JSON escaping (no quote, backslash or control
-  /// character): readers decode it as raw envelope bytes.
+  /// character): readers decode it as raw envelope bytes. `data` is
+  /// written compactly after the envelope; a raw value (what the typed
+  /// writers pass) is copied verbatim.
   std::uint64_t append(std::string_view kind, double time, io::Json data);
 
   /// Writes and flushes the pending group as one contiguous write. No-op
@@ -233,16 +238,18 @@ class Journal {
   std::string payload_scratch_;
 };
 
-// --- record payload builders ---
+// --- record payload writers ---
 //
 // Each typed writer above is `append(kind, time, make_*_record(...))`. The
-// builders are exposed separately for the streaming service
+// payload writers are exposed separately for the streaming service
 // (orchestrator/streaming.h), whose pipelined commit SPLITS capture from
 // persistence: payloads read live orchestrator state (residuals, id
-// counters), so they must be built on the pipeline thread at window-close
-// time, while the serial append happens later on the commit thread. A
-// payload captured by a builder is a pure value — appending it afterwards
-// never re-reads orchestrator state.
+// counters), so they must be captured on the pipeline thread at
+// window-close time, while the serial append happens later on the commit
+// thread. A writer serializes the state once, into the payload's final
+// compact text held as an io::Json::raw value (no tree; a snapshot's
+// network and catalog still go through io::to_json): a pure value that
+// appending afterwards copies and never re-reads orchestrator state for.
 
 /// Payload of a `snapshot` record: full deployment + controller state.
 [[nodiscard]] io::Json make_snapshot_record(const Orchestrator& orch,

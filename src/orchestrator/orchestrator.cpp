@@ -618,7 +618,7 @@ std::size_t Orchestrator::reaugment(ServiceId service_id) {
 
   std::vector<std::vector<graph::NodeId>> allowed(len);
   for (std::uint32_t p = 0; p < len; ++p) {
-    allowed[p] = network_.cloudlets_within(active_at[p], options_.l_hops);
+    network_.cloudlets_within(active_at[p], options_.l_hops, allowed[p]);
   }
 
   auto ln_reliability = [&] {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -131,6 +132,10 @@ TEST(HopQueries, MembersWithinMatchesBfsAtEveryRadius) {
       for (std::uint32_t l : {0u, 1u, 2u, diam, diam + 1}) {
         ASSERT_EQ(members_within(csr, v, l), bfs_ball(hops, l))
             << "v=" << v << " l=" << l;
+        const std::span<const NodeId> walk = walk_within(csr, v, l);
+        std::vector<NodeId> sorted(walk.begin(), walk.end());
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted, bfs_ball(hops, l)) << "v=" << v << " l=" << l;
       }
     }
   }
@@ -198,6 +203,8 @@ TEST(MecGlue, CloudletsWithinMatchesBfsFilter) {
   for (NodeId v = 0; v < topo.graph.num_nodes(); v += 3) capacity[v] = 100.0;
   const Graph legacy = topo.graph;  // network consumes its topology
   mec::MecNetwork network(std::move(topo.graph), std::move(capacity));
+  // The filling form overwrites whatever the reused vector held before.
+  std::vector<NodeId> reused = {7, 7, 7};
   for (std::uint32_t l : {1u, 2u, 4u}) {
     for (NodeId v = 0; v < network.num_nodes(); ++v) {
       const auto hops = bfs_hops(legacy, v);
@@ -206,6 +213,8 @@ TEST(MecGlue, CloudletsWithinMatchesBfsFilter) {
         if (hops[u] != kUnreachable && hops[u] <= l) want.push_back(u);
       }
       ASSERT_EQ(network.cloudlets_within(v, l), want);
+      network.cloudlets_within(v, l, reused);
+      ASSERT_EQ(reused, want);
     }
   }
 }

@@ -2,7 +2,8 @@
 // checksums, scan/replay round-trips through io::Json, bit-identical
 // recovery of orchestrator + controller state, torn-tail tolerance,
 // loud mid-file corruption errors, the journal.torn_write fault, pinned
-// v1 bytes, and random cuts and byte flips of a real run's journal.
+// v1 bytes, random cuts and byte flips of a real run's journal, and the
+// payload writers against the io::Json trees they replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "graph/topology.h"
+#include "io/scenario_io.h"
 #include "orchestrator/journal.h"
 #include "sim/simulate.h"
 #include "util/check.h"
@@ -667,6 +669,16 @@ void write_bytes(const std::string& path, std::string_view bytes) {
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+TEST(JournalGolden, EveryRecordKindBytesArePinned) {
+  // Length and CRC-32 of the adversarial fixture, which holds every record
+  // kind (admit, batch, teardown and snapshot among them), recorded while
+  // the payloads were still built as io::Json trees: the payload writers
+  // cannot alter v1 bytes unnoticed.
+  const AdversarialJournal& j = adversarial_journal();
+  EXPECT_EQ(j.bytes.size(), 44536u);
+  EXPECT_EQ(journal_crc32(j.bytes), 0xC59DBDC3u);
+}
+
 TEST(JournalAdversarial, FixtureHasEveryRecordKindAndSnapshots) {
   const AdversarialJournal& j = adversarial_journal();
   const std::string path = temp_path("adversarial_scan.journal");
@@ -811,6 +823,296 @@ TEST(JournalAdversarial, EnvelopeIsAnExactBytePrefix) {
   Journal journal(temp_path("envelope_kind.journal"));
   EXPECT_THROW(journal.append("re\"pair", 1.0, io::Json(io::JsonObject{})),
                util::CheckFailure);
+}
+
+// --- payload writers against their tree-built reference -----------------
+
+// The payload writers serialize straight from live state. These are the
+// io::Json tree builders they replaced, kept as the reference: every
+// writer's text must equal the reference tree's dump() byte for byte.
+namespace ref {
+
+template <typename Range, typename F>
+io::Json json_array(const Range& items, F f) {
+  io::JsonArray arr(std::size(items));
+  std::size_t i = 0;
+  for (const auto& x : items) arr[i++] = f(x);
+  return io::Json(std::move(arr));
+}
+
+io::Json json_pair(io::Json a, io::Json b) {
+  io::JsonArray pair(2);
+  pair[0] = std::move(a);
+  pair[1] = std::move(b);
+  return io::Json(std::move(pair));
+}
+
+io::Json instance_to_json(const Instance& inst) {
+  MECRA_CHECK(inst.id < (1ULL << 53));
+  io::JsonObject o;
+  o.set("id", io::Json(inst.id));
+  o.set("pos", io::Json(inst.chain_pos));
+  o.set("cloudlet", io::Json(inst.cloudlet));
+  o.set("role", io::Json(static_cast<int>(inst.role)));
+  o.set("state", io::Json(static_cast<int>(inst.state)));
+  return {std::move(o)};
+}
+
+io::Json service_to_json(const Service& svc) {
+  MECRA_CHECK(svc.id < (1ULL << 53));
+  io::JsonObject o;
+  o.set("id", io::Json(svc.id));
+  o.set("request", io::to_json(svc.request));
+  o.set("state", io::Json(static_cast<int>(svc.state)));
+  o.set("instances", json_array(svc.instances, instance_to_json));
+  return {std::move(o)};
+}
+
+io::Json controller_state_to_json(const ControllerState& state) {
+  io::JsonObject o;
+  o.set("tracked",
+        json_array(state.tracked, [](const ControllerState::Entry& entry) {
+          io::JsonObject e;
+          e.set("service", io::Json(entry.service));
+          e.set("dirty", io::Json(entry.dirty));
+          e.set("not_before", io::Json(entry.not_before));
+          e.set("backoff", io::Json(entry.backoff));
+          return io::Json(std::move(e));
+        }));
+  o.set("repair_queue",
+        json_array(state.repair_queue, [](const auto& entry) {
+          return json_pair(io::Json(entry.first), io::Json(entry.second));
+        }));
+  o.set("next_batch", io::Json(state.next_batch));
+  o.set("last_now", io::Json(state.last_now));
+  io::JsonObject m;
+  m.set("repairs", io::Json(state.metrics.repairs));
+  m.set("reaugment_attempts", io::Json(state.metrics.reaugment_attempts));
+  m.set("reaugment_successes", io::Json(state.metrics.reaugment_successes));
+  m.set("reaugment_failures", io::Json(state.metrics.reaugment_failures));
+  m.set("standbys_added", io::Json(state.metrics.standbys_added));
+  m.set("revivals", io::Json(state.metrics.revivals));
+  o.set("metrics", io::Json(std::move(m)));
+  return {std::move(o)};
+}
+
+io::Json touched_residuals(const mec::MecNetwork& network,
+                           const std::vector<const Service*>& services) {
+  std::set<graph::NodeId> nodes;
+  for (const Service* svc : services) {
+    for (const Instance& inst : svc->instances) nodes.insert(inst.cloudlet);
+  }
+  return json_array(nodes, [&network](graph::NodeId v) {
+    return json_pair(io::Json(v), io::Json(network.residual(v)));
+  });
+}
+
+io::Json snapshot(const Orchestrator& orch, const Controller& controller) {
+  io::JsonObject data;
+  data.set("network", io::to_json(orch.network()));
+  data.set("catalog", io::to_json(orch.catalog()));
+  data.set("services", json_array(orch.services(), [&orch](ServiceId id) {
+             return service_to_json(orch.service(id));
+           }));
+  data.set("down", json_array(orch.down_cloudlets(),
+                              [](graph::NodeId v) { return io::Json(v); }));
+  data.set("next_service", io::Json(orch.next_service_id()));
+  data.set("next_instance", io::Json(orch.next_instance_id()));
+  data.set("has_shard_map", io::Json(orch.has_shard_map()));
+  data.set("controller", controller_state_to_json(controller.state()));
+  return io::Json(std::move(data));
+}
+
+io::Json admit(const Orchestrator& orch, const Service& svc) {
+  io::JsonObject data;
+  data.set("service", service_to_json(svc));
+  data.set("residuals", touched_residuals(orch.network(), {&svc}));
+  return io::Json(std::move(data));
+}
+
+io::Json batch(const Orchestrator& orch,
+               const std::vector<const Service*>& admitted) {
+  io::JsonObject data;
+  data.set("services", json_array(admitted, [](const Service* svc) {
+             return service_to_json(*svc);
+           }));
+  data.set("residuals", touched_residuals(orch.network(), admitted));
+  data.set("next_service", io::Json(orch.next_service_id()));
+  data.set("next_instance", io::Json(orch.next_instance_id()));
+  return io::Json(std::move(data));
+}
+
+io::Json teardown(ServiceId service) {
+  io::JsonObject data;
+  data.set("service", io::Json(service));
+  return io::Json(std::move(data));
+}
+
+}  // namespace ref
+
+/// Every writer's payload for this state equals the reference's dump():
+/// the snapshot, an admit and a teardown per service, a batch of all
+/// services and an empty batch.
+void expect_writers_match_reference(const Orchestrator& orch,
+                                    const Controller& controller) {
+  EXPECT_EQ(make_snapshot_record(orch, controller).dump(),
+            ref::snapshot(orch, controller).dump());
+  std::vector<const Service*> all;
+  for (const ServiceId id : orch.services()) {
+    const Service& svc = orch.service(id);
+    all.push_back(&svc);
+    EXPECT_EQ(make_admit_record(orch, svc).dump(),
+              ref::admit(orch, svc).dump())
+        << "service " << id;
+    EXPECT_EQ(make_teardown_record(id).dump(), ref::teardown(id).dump());
+  }
+  EXPECT_EQ(make_batch_record(orch, all).dump(),
+            ref::batch(orch, all).dump());
+  EXPECT_EQ(make_batch_record(orch, {}).dump(), ref::batch(orch, {}).dump());
+}
+
+TEST(JournalWriters, MatchTheTreeReferenceAtEveryFrameOfAPooledRun) {
+  // The state after every frame of the adversarial fixture: a pooled run
+  // with faults, the controller and snapshots, then a recovered, resumed
+  // pair. Each prefix is recovered and every writer checked on it.
+  const AdversarialJournal& j = adversarial_journal();
+  const std::string path = temp_path("writers_prefix.journal");
+  std::size_t checked_services = 0;
+  for (std::size_t k = 2; k < j.starts.size(); ++k) {
+    SCOPED_TRACE("state after frame " + std::to_string(k - 1));
+    write_bytes(path, std::string_view(j.bytes).substr(0, j.starts[k]));
+    const Recovered rec = recover(path, j.options);
+    expect_writers_match_reference(*rec.orch, *rec.controller);
+    checked_services += rec.orch->services().size();
+  }
+  EXPECT_GT(checked_services, 100u);
+}
+
+/// A chain of `length` functions with an expectation carrying fractional
+/// bits, for hand-built services.
+mec::SfcRequest hand_request(std::size_t length, mec::RequestId id) {
+  mec::SfcRequest request;
+  request.id = id;
+  for (std::size_t i = 0; i < length; ++i) {
+    request.chain.push_back(static_cast<mec::FunctionId>((7 * i + 3) % 11));
+  }
+  request.expectation = 1.0 - 1.0 / (3.0 + static_cast<double>(length));
+  request.source = static_cast<graph::NodeId>(length % 6);
+  request.destination = static_cast<graph::NodeId>((length * 5) % 6);
+  return request;
+}
+
+TEST(JournalWriters, HandBuiltStateMatchesTheTreeReference) {
+  // Cloudlets at 1, 2, 3 and 5 of a six-node path.
+  const mec::MecNetwork network{graph::path_graph(6),
+                                {0.0, 3000.0, 2500.5, 4000.0, 0.0, 8000.0}};
+  const mec::VnfCatalog catalog{{{0, "a", 0.8, 300.0}, {0, "b", 0.9, 400.0}}};
+  Orchestrator orch(network, catalog, {});
+  // Residuals with fractional bits, a signed zero and a violation.
+  orch.restore_residual(1, 0.1 + 0.2);
+  orch.restore_residual(2, 1234.5678901234567);
+  orch.restore_residual(3, -0.0);
+  orch.restore_residual(5, -12.75);
+
+  // Services of 1-12 instances cycling through every role and state, with
+  // chains of length 1-10 and ids up to 2^53 - 1.
+  constexpr std::uint64_t kMaxId = (1ULL << 53) - 1;
+  const std::vector<ServiceId> service_ids = {
+      0, 1, 2, 7, 1000, 65535, 1ULL << 32, kMaxId - 5, kMaxId - 4,
+      kMaxId - 3, kMaxId - 2, kMaxId};
+  const graph::NodeId cloudlets[] = {1, 2, 3, 5};
+  InstanceId next_instance = 0;
+  for (std::size_t n = 1; n <= 12; ++n) {
+    Service svc;
+    svc.id = service_ids[n - 1];
+    svc.request = hand_request(1 + (n - 1) % 10, svc.id ^ 0x5a5a);
+    svc.state = static_cast<ServiceState>(n % 3);
+    if (n == 12) next_instance = kMaxId + 1 - 12;  // the last id is 2^53 - 1
+    for (std::size_t i = 0; i < n; ++i) {
+      Instance inst;
+      inst.id = next_instance++;
+      inst.chain_pos = static_cast<std::uint32_t>(i % svc.request.length());
+      inst.cloudlet = cloudlets[(i + n) % 4];
+      inst.role = static_cast<InstanceRole>(i % 2);
+      inst.state = static_cast<InstanceState>((i / 2) % 2);
+      svc.instances.push_back(inst);
+    }
+    orch.restore_service(std::move(svc), /*consume_capacity=*/false);
+  }
+  orch.restore_down_cloudlet(2);
+  orch.restore_down_cloudlet(5);
+
+  // A controller with tracked entries, a repair queue and metrics.
+  Controller controller(orch);
+  ControllerState state;
+  state.tracked = {{0, true, 1.25, 0.1}, {7, false, 0.0, 0.0},
+                   {kMaxId, true, 1e300, 0.1 + 0.2}};
+  state.repair_queue = {{2.5, 3}, {2.5, 1}, {1e9 + 0.1, 5}};
+  state.next_batch = 3.75;
+  state.last_now = 1.0 / 3.0;
+  state.metrics = {.repairs = 3,
+                   .reaugment_attempts = 17,
+                   .reaugment_successes = 11,
+                   .reaugment_failures = 6,
+                   .standbys_added = 23,
+                   .revivals = 2};
+  controller.restore(state);
+  ASSERT_EQ(controller.state().repair_queue, state.repair_queue);
+
+  expect_writers_match_reference(orch, controller);
+  EXPECT_EQ(orch.next_instance_id(), kMaxId + 1);
+  EXPECT_EQ(make_teardown_record(kMaxId).dump(),
+            R"({"service":9007199254740991})");
+  // Teardown ids are not range-checked: past 2^53 both round through double.
+  for (const ServiceId id :
+       {ServiceId{kMaxId + 1}, ServiceId{(1ULL << 60) + 1}}) {
+    EXPECT_EQ(make_teardown_record(id).dump(), ref::teardown(id).dump());
+  }
+
+  // Ids of 2^53 and above still throw, from every writer that holds them.
+  Service big = orch.service(7);
+  big.id = kMaxId + 1;
+  EXPECT_THROW((void)make_admit_record(orch, big), util::CheckFailure);
+  EXPECT_THROW((void)make_batch_record(orch, {&orch.service(0), &big}),
+               util::CheckFailure);
+  EXPECT_THROW((void)ref::admit(orch, big), util::CheckFailure);
+  big.id = 8;
+  big.instances.back().id = kMaxId + 1;
+  EXPECT_THROW((void)make_admit_record(orch, big), util::CheckFailure);
+  EXPECT_THROW((void)make_batch_record(orch, {&big}), util::CheckFailure);
+  EXPECT_THROW((void)ref::admit(orch, big), util::CheckFailure);
+}
+
+TEST(JournalWriters, ThinRecordsMatchTheirTrees) {
+  // instance_failure, cloudlet_outage, repair and reconcile write their
+  // payloads as text too: the file equals one appended from trees.
+  constexpr std::uint64_t kMaxId = (1ULL << 53) - 1;
+  const std::string typed = temp_path("thin_typed.journal");
+  const std::string trees = temp_path("thin_trees.journal");
+  {
+    Journal journal(typed);
+    journal.instance_failure(kMaxId, kMaxId - 1, 0.1);
+    journal.cloudlet_outage(4000, 0.2);
+    journal.repair(0, 1.0 / 3.0);
+    journal.reconcile_mark(1e9);
+  }
+  {
+    Journal journal(trees);
+    io::JsonObject failure;
+    failure.set("service", io::Json(kMaxId));
+    failure.set("instance", io::Json(kMaxId - 1));
+    journal.append(kJournalInstanceFailure, 0.1, io::Json(std::move(failure)));
+    io::JsonObject outage;
+    outage.set("cloudlet", io::Json(4000));
+    journal.append(kJournalCloudletOutage, 0.2, io::Json(std::move(outage)));
+    io::JsonObject repair;
+    repair.set("cloudlet", io::Json(0));
+    journal.append(kJournalRepair, 1.0 / 3.0, io::Json(std::move(repair)));
+    journal.append(kJournalReconcile, 1e9, io::Json(io::JsonObject{}));
+  }
+  const std::string bytes = file_bytes(typed);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, file_bytes(trees));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the dependency-free JSON layer: parsing, serialization,
-// round-trips, escapes, numbers, and error reporting.
+// round-trips, escapes, numbers, raw (already-serialized) values, and
+// error reporting.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -130,6 +131,72 @@ TEST(Json, NumbersDumpCleanly) {
 TEST(Json, EmptyContainers) {
   EXPECT_EQ(Json(JsonArray{}).dump(2), "[]");
   EXPECT_EQ(Json(JsonObject{}).dump(2), "{}");
+}
+
+// ------------------------------------------------------------------- raw
+
+TEST(JsonRaw, DumpsVerbatimAloneAndInsideArraysAndObjects) {
+  const std::string text = R"({"a":[1,2.5,"x\n"],"b":{}})";
+  EXPECT_EQ(Json::raw(text).dump(), text);
+  std::string out = "prefix:";
+  Json::raw(text).dump_append(out);
+  EXPECT_EQ(out, "prefix:" + text);
+
+  JsonArray arr(3);
+  arr[0] = Json::raw("[true,null]");
+  arr[1] = Json(3);
+  arr[2] = Json::raw("{}");
+  JsonObject obj;
+  obj.set("raw", Json::raw(text));
+  obj.set("list", Json(std::move(arr)));
+  obj.set("tail", Json::raw("-0"));
+  const Json tree(std::move(obj));
+  const std::string want =
+      R"({"raw":{"a":[1,2.5,"x\n"],"b":{}},)"
+      R"("list":[[true,null],3,{}],"tail":-0})";
+  EXPECT_EQ(tree.dump(), want);
+  out.clear();
+  tree.dump_append(out);
+  EXPECT_EQ(out, want);
+}
+
+TEST(JsonRaw, EveryAccessorRejectsIt) {
+  // Valid number text, yet not a number value: a raw value is opaque.
+  const Json v = Json::raw("1");
+  EXPECT_FALSE(v.is_null());
+  EXPECT_FALSE(v.is_bool());
+  EXPECT_FALSE(v.is_number());
+  EXPECT_FALSE(v.is_string());
+  EXPECT_FALSE(v.is_array());
+  EXPECT_FALSE(v.is_object());
+  EXPECT_THROW((void)v.as_bool(), util::CheckFailure);
+  EXPECT_THROW((void)v.as_double(), util::CheckFailure);
+  EXPECT_THROW((void)v.as_int(), util::CheckFailure);
+  EXPECT_THROW((void)v.as_string(), util::CheckFailure);
+  EXPECT_THROW((void)v.as_array(), util::CheckFailure);
+  EXPECT_THROW((void)v.as_object(), util::CheckFailure);
+}
+
+TEST(JsonRaw, PrettyPrintingLeavesItCompact) {
+  // indent >= 0 indents the tree around a raw value but copies the value
+  // itself verbatim, compact as it is.
+  EXPECT_EQ(Json::raw(R"({"x":[1,2]})").dump(2), R"({"x":[1,2]})");
+  JsonObject obj;
+  obj.set("k", Json(1));
+  obj.set("r", Json::raw(R"({"x":[1,2]})"));
+  EXPECT_EQ(Json(std::move(obj)).dump(2),
+            "{\n  \"k\": 1,\n  \"r\": {\"x\":[1,2]}\n}");
+  JsonArray arr(1);
+  arr[0] = Json::raw("[]");
+  EXPECT_EQ(Json(std::move(arr)).dump(0), "[\n[]\n]");
+}
+
+TEST(JsonRaw, ParseNeverProducesIt) {
+  const std::string text = R"({"a":[1,{"b":null}],"c":"d"})";
+  const Json parsed = Json::parse(Json::raw(text).dump());
+  EXPECT_TRUE(parsed.is_object());
+  EXPECT_TRUE(parsed.as_object().at("a").is_array());
+  EXPECT_EQ(parsed.dump(), text);
 }
 
 // ----------------------------------------------------------------- parse

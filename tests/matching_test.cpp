@@ -139,6 +139,8 @@ struct SweepParams {
   std::size_t nr;
   double density;
   bool negative;
+  /// When non-zero, every left node l with l % edgeless == 0 has no edge.
+  std::uint32_t edgeless = 0;
 };
 
 std::vector<SweepParams> sweep_cases() {
@@ -152,6 +154,12 @@ std::vector<SweepParams> sweep_cases() {
       }
     }
   }
+  // Edge-less left nodes beside complete rows, so the matching is perfect
+  // on the nodes that have edges (the solver stops at that size).
+  cases.push_back({seed++, 7, 3, 1.0, false, 2});
+  cases.push_back({seed++, 8, 4, 1.0, true, 2});
+  cases.push_back({seed++, 6, 6, 1.0, true, 3});
+  cases.push_back({seed++, 9, 2, 0.7, false, 3});
   return cases;
 }
 
@@ -159,6 +167,7 @@ std::vector<BipartiteEdge> sweep_edges(const SweepParams& p) {
   util::Rng rng(p.seed);
   std::vector<BipartiteEdge> edges;
   for (std::uint32_t l = 0; l < p.nl; ++l) {
+    if (p.edgeless != 0 && l % p.edgeless == 0) continue;
     for (std::uint32_t r = 0; r < p.nr; ++r) {
       if (rng.bernoulli(p.density)) {
         const double lo = p.negative ? -5.0 : 0.0;
@@ -172,10 +181,17 @@ std::vector<BipartiteEdge> sweep_edges(const SweepParams& p) {
 class MatchingSweep : public ::testing::TestWithParam<SweepParams> {};
 
 TEST_P(MatchingSweep, MatchesBruteForceAndFlowReduction) {
-  const auto [seed, nl, nr, density, negative] = GetParam();
+  const auto [seed, nl, nr, density, negative, edgeless] = GetParam();
   const std::vector<BipartiteEdge> edges = sweep_edges(GetParam());
 
   const auto got = min_cost_max_matching(nl, nr, edges);
+  if (edgeless != 0 && density == 1.0) {
+    const std::size_t with_edges = nl - (nl + edgeless - 1) / edgeless;
+    EXPECT_EQ(got.cardinality, std::min(with_edges, nr));
+    for (std::uint32_t l = 0; l < nl; l += edgeless) {
+      EXPECT_FALSE(got.match_left[l].has_value()) << "left " << l;
+    }
+  }
 
   // One workspace reused across the whole sweep: it solves every case up
   // to this one in sweep order, each leaving buffers of another size and
@@ -256,7 +272,8 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(tpi.param.seed) + "_l" +
              std::to_string(tpi.param.nl) + "_r" +
              std::to_string(tpi.param.nr) +
-             (tpi.param.negative ? "_neg" : "_pos");
+             (tpi.param.negative ? "_neg" : "_pos") +
+             (tpi.param.edgeless != 0 ? "_edgeless" : "");
     });
 
 }  // namespace
