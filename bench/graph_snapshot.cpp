@@ -23,9 +23,10 @@
 //   --check-against <path>  compare baseline-normalized bounded-walk time
 //                           (oracle_ms / bfs_ms, host speed cancels)
 //                           against a committed snapshot; exit non-zero
-//                           on regression beyond --regression-factor, or
-//                           when a committed topology or query is missing
-//                           from the fresh run
+//                           on regression beyond --regression-factor,
+//                           when a topology's csr_bytes exceeds the
+//                           committed value, or when a committed topology
+//                           or query is missing from the fresh run
 //   --regression-factor <x> regression threshold (default 2.0)
 #include <sys/resource.h>
 
@@ -98,6 +99,10 @@ QueryResult measure_members_within(const Workload& w, std::uint32_t l,
     r.bfs_ms = t.elapsed_ms();
   }
   {
+    // One untimed query first: it sizes the walk's per-thread scratch to
+    // this topology, a one-time cost that would otherwise weigh more on
+    // --quick's 48 queries than on the full run's 256.
+    (void)graph::members_within(w.csr, sources.front(), l);
     const util::Timer t;
     for (graph::NodeId v : sources) {
       bounded_sum += graph::members_within(w.csr, v, l).size();
@@ -162,6 +167,17 @@ int check_against(const io::Json& fresh, const std::string& path,
       ++failures;
       continue;
     }
+    // Every topology is built from a fixed seed, in quick mode too, so the
+    // footprint compares exactly: any growth is a layout change.
+    const std::int64_t committed_bytes =
+        cobj.at("build").as_object().at("csr_bytes").as_int();
+    const std::int64_t fresh_bytes =
+        fobj->at("build").as_object().at("csr_bytes").as_int();
+    const bool grew = fresh_bytes > committed_bytes;
+    std::cout << (grew ? "GREW      " : "ok        ") << key
+              << "/csr_bytes  committed=" << committed_bytes
+              << " fresh=" << fresh_bytes << "\n";
+    failures += grew ? 1 : 0;
     const auto& fresh_queries = fobj->at("queries").as_array();
     for (const auto& cq : cobj.at("queries").as_array()) {
       const std::string& qkey = cq.as_object().at("key").as_string();

@@ -12,36 +12,13 @@ CsrGraph CsrGraph::build(const Graph& g) {
     csr.offsets_[v + 1] = csr.offsets_[v] + g.degree(v);
   }
   csr.neighbors_.resize(csr.offsets_[n]);
-  csr.weights_.resize(csr.offsets_[n]);
   for (NodeId v = 0; v < n; ++v) {
     const auto nbrs = g.neighbors(v);
-    const auto wts = g.neighbor_weights(v);
     std::copy(nbrs.begin(), nbrs.end(),
               csr.neighbors_.begin() +
                   static_cast<std::ptrdiff_t>(csr.offsets_[v]));
-    std::copy(wts.begin(), wts.end(),
-              csr.weights_.begin() +
-                  static_cast<std::ptrdiff_t>(csr.offsets_[v]));
   }
   return csr;
-}
-
-std::size_t CsrGraph::neighbor_index(NodeId u, NodeId v) const {
-  MECRA_CHECK(u < num_nodes() && v < num_nodes());
-  const auto row = neighbors(u);
-  const auto pos = std::lower_bound(row.begin(), row.end(), v);
-  if (pos == row.end() || *pos != v) return npos;
-  return offsets_[u] + static_cast<std::size_t>(pos - row.begin());
-}
-
-bool CsrGraph::has_edge(NodeId u, NodeId v) const {
-  return neighbor_index(u, v) != npos;
-}
-
-double CsrGraph::edge_weight(NodeId u, NodeId v) const {
-  const std::size_t idx = neighbor_index(u, v);
-  MECRA_CHECK_MSG(idx != npos, "edge does not exist");
-  return weights_[idx];
 }
 
 }  // namespace mecra::graph

@@ -2,12 +2,12 @@
 //
 // The mutable Graph keeps one heap-allocated vector per adjacency row —
 // convenient while a topology is being generated, but every BFS then chases
-// a pointer per visited node. CsrGraph packs all rows into three flat
-// arrays (offsets / neighbors / weights) built once after the topology is
-// final, so traversals stream through contiguous memory. Neighbor order is
-// copied verbatim from the Graph (sorted ascending), which keeps every
-// algorithm that iterates neighbors bit-identical between the two
-// representations.
+// a pointer per visited node. CsrGraph packs all rows into two flat arrays
+// (offsets / neighbors) built once after the topology is final, so
+// traversals stream through contiguous memory. It keeps no edge weights:
+// every query over it counts hops. Neighbor order is copied verbatim from
+// the Graph (sorted ascending), which keeps every algorithm that iterates
+// neighbors bit-identical between the two representations.
 //
 // Thread safety: immutable after build(); all accessors are const and safe
 // from any thread.
@@ -44,36 +44,19 @@ class CsrGraph {
             neighbors_.data() + offsets_[v + 1]};
   }
 
-  /// Weights parallel to neighbors(v).
-  [[nodiscard]] std::span<const double> neighbor_weights(NodeId v) const {
-    MECRA_DCHECK(v < num_nodes());
-    return {weights_.data() + offsets_[v], weights_.data() + offsets_[v + 1]};
-  }
-
   [[nodiscard]] std::size_t degree(NodeId v) const {
     return neighbors(v).size();
   }
 
-  [[nodiscard]] bool has_edge(NodeId u, NodeId v) const;
-
-  /// Weight of edge (u, v). Requires the edge to exist. O(log deg(u)).
-  [[nodiscard]] double edge_weight(NodeId u, NodeId v) const;
-
-  /// Bytes held by the three packed arrays (bench / capacity planning).
+  /// Bytes held by the two packed arrays (bench / capacity planning).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return offsets_.size() * sizeof(std::uint64_t) +
-           neighbors_.size() * sizeof(NodeId) +
-           weights_.size() * sizeof(double);
+           neighbors_.size() * sizeof(NodeId);
   }
 
  private:
-  /// Index of `v` in u's packed row, or npos when the edge is absent.
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  [[nodiscard]] std::size_t neighbor_index(NodeId u, NodeId v) const;
-
   std::vector<std::uint64_t> offsets_;  // size num_nodes + 1
   std::vector<NodeId> neighbors_;       // size 2 * num_edges
-  std::vector<double> weights_;         // parallel to neighbors_
 };
 
 }  // namespace mecra::graph

@@ -240,46 +240,4 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
-MetricsSnapshot MetricsRegistry::delta_snapshot() {
-  const util::LockGuard lock(mutex_);
-  MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    const std::uint64_t value = c->value();
-    std::uint64_t& base = counter_baseline_[name];
-    // A reset() between scrapes leaves value < base; clamp, don't wrap.
-    const std::uint64_t delta = value >= base ? value - base : 0;
-    base = value;
-    snap.counters.push_back({name, delta});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.push_back({name, g->value()});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    Histogram::Snapshot current = h->snapshot();
-    Histogram::Snapshot delta = current;
-    auto it = histogram_baseline_.find(name);
-    if (it != histogram_baseline_.end() &&
-        it->second.counts.size() == current.counts.size()) {
-      const Histogram::Snapshot& base = it->second;
-      delta.count = 0;
-      for (std::size_t b = 0; b < delta.counts.size(); ++b) {
-        delta.counts[b] = current.counts[b] >= base.counts[b]
-                              ? current.counts[b] - base.counts[b]
-                              : 0;
-        delta.count += delta.counts[b];
-      }
-      // sum may legitimately move either way (negative observations).
-      delta.sum = current.sum - base.sum;
-      if (delta.count == 0) delta.sum = 0.0;
-      // min/max stay lifetime extremes — see the header comment.
-    }
-    histogram_baseline_[name] = std::move(current);
-    snap.histograms.push_back({name, std::move(delta)});
-  }
-  return snap;
-}
-
 }  // namespace mecra::obs

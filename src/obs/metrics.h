@@ -132,10 +132,9 @@ class Histogram {
     /// are uniform within each bucket (linear interpolation between
     /// bucket bounds — the classic histogram_quantile estimate). Returns
     /// 0 for an empty snapshot. When the rank lands in the unbounded
-    /// overflow bucket the estimate is `max`, which for a DELTA snapshot
-    /// is still the lifetime max (per-window extremes are not tracked) —
-    /// an upper bound, not a window statistic. Resolution is bucket
-    /// granularity; with default_latency_bounds() that is a factor of 2.
+    /// overflow bucket the estimate is `max`, an upper bound. Resolution
+    /// is bucket granularity; with default_latency_bounds() that is a
+    /// factor of 2.
     [[nodiscard]] double quantile(double q) const;
   };
 
@@ -238,20 +237,6 @@ class MetricsRegistry {
   /// Merged view of every instrument, sorted by name.
   [[nodiscard]] MetricsSnapshot snapshot() const MECRA_EXCLUDES(mutex_);
 
-  /// Like snapshot(), but counter values and histogram bucket counts /
-  /// count / sum are DELTAS since the previous delta_snapshot() call (the
-  /// first call reports since construction). Each call advances an
-  /// internal per-instrument baseline; snapshot() never disturbs it, so
-  /// cumulative and windowed scrapes can coexist. Semantics of the
-  /// non-delta fields: gauges are instantaneous and reported as-is, and
-  /// histogram min/max remain LIFETIME extremes (per-window extremes
-  /// cannot be reconstructed from a bounded baseline). A reset() between
-  /// windows shrinks live values below the baseline; the next delta
-  /// clamps at zero instead of underflowing. This is the scrape
-  /// orchestrator::StreamingService uses to report per-window deltas
-  /// (WindowReport::obs_delta).
-  [[nodiscard]] MetricsSnapshot delta_snapshot() MECRA_EXCLUDES(mutex_);
-
  private:
   /// Guards the instrument maps (registration + scrape); the instruments
   /// themselves record lock-free through their own atomic shards.
@@ -261,11 +246,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
       MECRA_GUARDED_BY(mutex_);
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
-      MECRA_GUARDED_BY(mutex_);
-  /// delta_snapshot() baselines: last-scraped cumulative values.
-  std::map<std::string, std::uint64_t, std::less<>> counter_baseline_
-      MECRA_GUARDED_BY(mutex_);
-  std::map<std::string, Histogram::Snapshot, std::less<>> histogram_baseline_
       MECRA_GUARDED_BY(mutex_);
 };
 

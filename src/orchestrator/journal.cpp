@@ -520,11 +520,6 @@ Journal::~Journal() {
   }
 }
 
-void Journal::set_durability(Durability durability) {
-  flush_pending();
-  durability_ = durability;
-}
-
 std::uint64_t Journal::append(std::string_view kind, double time,
                               io::Json data) {
   MECRA_CHECK_MSG(!wedged_, "journal is wedged after a torn write");
@@ -759,8 +754,8 @@ void restore_snapshot(Recovered& out, const io::JsonObject& s,
       static_cast<ServiceId>(s.at("next_service").as_int()),
       static_cast<InstanceId>(s.at("next_instance").as_int()));
   if (s.at("has_shard_map").as_bool()) {
-    // Reaugmentation candidate lists come from the shard map once it
-    // exists; rebuild it so replayed reconciles see the same lists.
+    // Later snapshots record has_shard_map(); rebuild the map so they
+    // read as the original run's would.
     out.orch->ensure_shard_map();
   }
   out.controller = std::make_unique<Controller>(*out.orch,

@@ -168,13 +168,6 @@ class Journal {
   /// further append throws.
   [[nodiscard]] bool wedged() const noexcept { return wedged_; }
 
-  [[nodiscard]] const Durability& durability() const noexcept {
-    return durability_;
-  }
-  /// Changes the policy for subsequent appends. Flushes any pending group
-  /// first so records never straddle a policy switch.
-  void set_durability(Durability durability);
-
   /// Records framed but not yet written to the file.
   [[nodiscard]] std::size_t buffered_records() const noexcept {
     return pending_frames_.size();

@@ -32,7 +32,6 @@ StreamingService::StreamingService(Orchestrator& orch,
                   "streaming: window_width must be positive");
   obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
   latency_hist_ = &reg.histogram("stream.admit_latency_seconds");
-  shed_counter_ = &reg.counter("admit.shed");
 }
 
 StreamingService::~StreamingService() { stop(); }
@@ -78,22 +77,7 @@ SubmitStatus StreamingService::submit_event(StreamEvent ev) {
   if (!accepting_.load(std::memory_order_acquire)) {
     return SubmitStatus::kStopped;
   }
-  if (ev.kind == StreamEventKind::kArrival) {
-    if (shed_mode_.load(std::memory_order_relaxed)) {
-      shed_slo_.fetch_add(1, std::memory_order_relaxed);
-      shed_counter_->add(1);
-      return SubmitStatus::kShedSlo;
-    }
-    if (options_.max_queue_depth > 0 &&
-        queue_depth_.load(std::memory_order_relaxed) >=
-            options_.max_queue_depth) {
-      shed_queue_.fetch_add(1, std::memory_order_relaxed);
-      shed_counter_->add(1);
-      return SubmitStatus::kShedQueue;
-    }
-  }
   ev.enqueued_at = std::chrono::steady_clock::now();
-  queue_depth_.fetch_add(1, std::memory_order_relaxed);
   submitted_.fetch_add(1, std::memory_order_relaxed);
   ingress_.push(std::move(ev));
   return SubmitStatus::kAccepted;
@@ -136,11 +120,6 @@ void StreamingService::flush(double time) {
   ingress_.push(std::move(ev));
 }
 
-std::uint64_t StreamingService::flushes_processed() const {
-  util::LockGuard lock(flush_mutex_);
-  return flushes_processed_;
-}
-
 void StreamingService::wait_flushes_processed(std::uint64_t n) {
   util::LockGuard lock(flush_mutex_);
   while (flushes_processed_ < n) flush_cv_.wait(flush_mutex_);
@@ -159,8 +138,6 @@ StreamStats StreamingService::stats() const {
   s.departures = departures_.load(std::memory_order_relaxed);
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shed_queue = shed_queue_.load(std::memory_order_relaxed);
-  s.shed_slo = shed_slo_.load(std::memory_order_relaxed);
   s.unknown_service = unknown_service_.load(std::memory_order_relaxed);
   s.windows = windows_.load(std::memory_order_relaxed);
   {
@@ -208,7 +185,6 @@ void StreamingService::pipeline_loop() {
       flush_cv_.notify_all();
       continue;
     }
-    queue_depth_.fetch_sub(1, std::memory_order_relaxed);
     // After a commit failure the stream can no longer journal effects, so
     // remaining events are drained and discarded (see file comment).
     if (failed_.load(std::memory_order_acquire)) continue;
@@ -227,16 +203,7 @@ void StreamingService::handle_event(Window& win, StreamEvent&& ev) {
     win.open_time = std::floor(ev.time / w) * w;
     win.close_time = win.open_time + w;
   }
-  const bool candidate = ev.kind == StreamEventKind::kArrival ||
-                         ev.kind == StreamEventKind::kReadmit;
   win.events.push_back(std::move(ev));
-  if (candidate) {
-    ++win.candidates;
-    if (options_.window_max_arrivals > 0 &&
-        win.candidates >= options_.window_max_arrivals) {
-      close_window(win, WindowTrigger::kSize);
-    }
-  }
 }
 
 void StreamingService::close_window(Window& win, WindowTrigger trigger) {
@@ -280,8 +247,8 @@ void StreamingService::close_window(Window& win, WindowTrigger trigger) {
     // so the order is part of the determinism contract).
     std::vector<mec::SfcRequest> requests;
     std::vector<const StreamEvent*> candidates;
-    requests.reserve(w.candidates);
-    candidates.reserve(w.candidates);
+    requests.reserve(w.events.size());
+    candidates.reserve(w.events.size());
     for (const StreamEvent& ev : w.events) {
       if (ev.kind == StreamEventKind::kArrival) {
         ++rep.arrivals;
@@ -407,35 +374,7 @@ void StreamingService::commit_ticket(CommitTicket& ticket) {
     reg.counter("stream.rejected").add(rep.rejected);
     reg.counter("stream.departures").add(rep.departures);
     reg.counter("stream.readmits").add(rep.readmits);
-    reg.gauge("stream.queue_depth").set(static_cast<double>(queue_depth()));
-    // The service is the delta-chain consumer (see file comment): one
-    // scrape per committed window, forwarded in the report.
-    rep.obs_delta = reg.delta_snapshot();
-    for (const auto& h : rep.obs_delta.histograms) {
-      if (h.name == "stream.admit_latency_seconds") {
-        rep.p99_latency_seconds = h.data.quantile(0.99);
-        break;
-      }
-    }
   }
-  if (options_.slo_p99_seconds > 0.0) {
-    if (rep.p99_latency_seconds > options_.slo_p99_seconds) {
-      compliant_windows_ = 0;
-      if (!shed_mode_.exchange(true, std::memory_order_relaxed) &&
-          obs::enabled()) {
-        obs::MetricsRegistry::global().counter("stream.slo_trips").add(1);
-      }
-    } else if (shed_mode_.load(std::memory_order_relaxed) &&
-               ++compliant_windows_ >= options_.slo_recover_windows) {
-      shed_mode_.store(false, std::memory_order_relaxed);
-      compliant_windows_ = 0;
-    }
-    if (obs::enabled()) {
-      obs::MetricsRegistry::global().gauge("stream.shedding")
-          .set(shed_mode_.load(std::memory_order_relaxed) ? 1.0 : 0.0);
-    }
-  }
-  rep.shedding = shed_mode_.load(std::memory_order_relaxed);
   rep.commit_seconds = timer.elapsed_seconds();
   windows_.fetch_add(1, std::memory_order_relaxed);
   {

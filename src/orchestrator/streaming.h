@@ -16,8 +16,7 @@
 // or wall). The pipeline thread groups admission candidates into windows
 // aligned to the fixed grid [k*W, (k+1)*W) of StreamingOptions::
 // window_width. A window opens at its first event and closes on the first
-// of: an event beyond its grid cell (time trigger), its candidate count
-// reaching window_max_arrivals (size trigger), an explicit flush()
+// of: an event beyond its grid cell (time trigger), an explicit flush()
 // punctuation, or drain-on-stop. Empty grid cells produce no window. At
 // close, the window runs on the pipeline thread: departures and re-admit
 // teardowns first (event order — capacity freed this window is available
@@ -29,41 +28,24 @@
 // controller state and also CAPTURES journal payloads while that state is
 // current (journal.h's make_*_record builders); the serial commit of the
 // PREVIOUS window — journal framing + fsync-ordered appends, admission-
-// latency histogram, SLO evaluation, on_commit — drains concurrently on
-// the commit thread. Because nothing on the commit thread feeds back into
-// admission decisions, pipelining changes wall-clock behaviour only:
-// admission outcomes, service/instance ids, and journal bytes are
-// BIT-IDENTICAL to pipelined_commit=false, and (via admit_batch's salted
-// per-request streams) to any BatchOptions::threads value. Windows commit
-// strictly in order; StreamingService::kMaxInflightWindows bounds how far
-// admission may run ahead of durability.
+// latency histogram, on_commit — drains concurrently on the commit
+// thread. Because nothing on the commit thread feeds back into admission
+// decisions, pipelining changes wall-clock behaviour only: admission
+// outcomes, service/instance ids, and journal bytes are BIT-IDENTICAL to
+// pipelined_commit=false, and (via admit_batch's salted per-request
+// streams) to any BatchOptions::threads value. Windows commit strictly in
+// order; StreamingService::kMaxInflightWindows bounds how far admission
+// may run ahead of durability.
 //
-// Determinism contract. With shedding disabled (max_queue_depth == 0,
-// slo_p99_seconds == 0) a fixed seed + fixed window schedule (same events
+// Determinism contract. A fixed seed + fixed window schedule (same events
 // into the same windows) yields identical traces at any thread count,
-// pipelined or not. Window n of the run draws its RNG as
+// pipelined or not. Every accepted event is decided: the service refuses
+// events only while stopped or failed, never by queue depth or latency.
+// Window n of the run draws its RNG as
 // derive_seed(seed, first_admission_window + n), counting only windows
 // that ran admit_batch — which is exactly the count of `batch` records in
 // the journal, so a recovered run resumes the sequence by passing that
-// count as first_admission_window. Shedding decisions, by contrast, read
-// WALL-CLOCK latency and queue depth, so enabling either knob trades the
-// bit-identity guarantee for overload protection.
-//
-// Backpressure. Two independent mechanisms, both counted in `admit.shed`:
-//   * queue shed — submit_arrival refuses when the ingress queue holds
-//     max_queue_depth events (producer-side, lock-free check);
-//   * SLO shed — after each commit the service scrapes
-//     MetricsRegistry::delta_snapshot() and estimates the window's p99 of
-//     `stream.admit_latency_seconds`; p99 above slo_p99_seconds enters
-//     shed mode (arrivals refused at submit), and slo_recover_windows
-//     consecutive compliant windows leave it. Departures and re-admission
-//     events are NEVER shed: capacity release must not be lost.
-// The service instruments the global registry and is its delta-chain
-// consumer: per-window deltas are forwarded in WindowReport::obs_delta,
-// and nothing else in the process may call delta_snapshot() while a
-// stream runs. With
-// observability disabled (MECRA_OBS=OFF or runtime kill switch) the
-// latency histogram is inert, so SLO shedding never triggers.
+// count as first_admission_window.
 //
 // Shutdown & failure. stop() drains: every event accepted BEFORE the call
 // is processed, a final partial window closes with trigger kDrain, the
@@ -76,11 +58,11 @@
 // punctuation keeps draining so lockstep drivers never deadlock; the
 // journal prefix on disk stays valid for recover().
 //
-// Thread safety: submit_*/flush/stats/queue_depth/shedding are safe from
-// any thread (lock-free fast path); start/stop/wait_flushes_processed from
-// the owning thread(s). The orchestrator, controller, and journal belong
-// to the service between start() and stop() — the pipeline thread is their
-// driver thread (orchestrator.h) — and must not be touched externally.
+// Thread safety: submit_*/flush/stats are safe from any thread (lock-free
+// fast path); start/stop/wait_flushes_processed from the owning thread(s).
+// The orchestrator, controller, and journal belong to the service between
+// start() and stop() — the pipeline thread is their driver thread
+// (orchestrator.h) — and must not be touched externally.
 //
 // Lock discipline (PR-8 style): flush_mutex_ guards the flush counter,
 // inflight_mutex_ guards the window in-flight counters, stats_mutex_
@@ -138,7 +120,6 @@ struct StreamEvent {
 /// What closed a window.
 enum class WindowTrigger : std::uint8_t {
   kTime,   ///< an event landed beyond the window's grid cell
-  kSize,   ///< candidate count reached window_max_arrivals
   kFlush,  ///< explicit flush() punctuation
   kDrain,  ///< final partial window during stop()
 };
@@ -173,24 +154,14 @@ struct WindowReport {
   std::size_t rejected = 0;    ///< candidates refused by admission
   /// Pipeline-stage wall time of the window (lifecycle + admit_batch).
   double admit_seconds = 0.0;
-  /// Commit-stage wall time (journal appends + metrics + SLO scrape).
+  /// Commit-stage wall time (journal appends + metrics).
   double commit_seconds = 0.0;
-  /// p99 of stream.admit_latency_seconds over THIS window's delta; 0 while
-  /// observability is disabled.
-  double p99_latency_seconds = 0.0;
-  /// SLO shed mode in force after evaluating this window.
-  bool shedding = false;
-  /// The registry's windowed delta over this window
-  /// (MetricsRegistry::delta_snapshot; empty while obs is disabled).
-  obs::MetricsSnapshot obs_delta;
 };
 
 /// submit_* result. Only kAccepted events reach the pipeline.
 enum class SubmitStatus : std::uint8_t {
   kAccepted,
-  kShedQueue,  ///< refused: ingress queue at max_queue_depth
-  kShedSlo,    ///< refused: SLO shed mode active
-  kStopped,    ///< refused: service not started, stopping, or failed
+  kStopped,  ///< refused: service not started, stopping, or failed
 };
 
 /// Cumulative service counters (atomics; readable from any thread).
@@ -201,6 +172,8 @@ struct StreamStats {
   std::uint64_t departures = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
+  /// Always 0: the service sheds nothing. Kept only because perfbench's
+  /// stream_durable still reads them.
   std::uint64_t shed_queue = 0;
   std::uint64_t shed_slo = 0;
   /// Departure/re-admit events whose service id was not live.
@@ -213,19 +186,6 @@ struct StreamingOptions {
   /// Width W of the event-time window grid (> 0). Windows cover
   /// [k*W, (k+1)*W); a window's admission timestamp is its grid close.
   double window_width = 1.0;
-  /// Size trigger: close the window once it holds this many admission
-  /// candidates (arrivals + re-admits). 0 disables the size trigger.
-  std::size_t window_max_arrivals = 0;
-  /// Queue-shed threshold for submit_arrival (approximate queue depth).
-  /// 0 = unbounded; any bound voids the bit-identity guarantee.
-  std::size_t max_queue_depth = 0;
-  /// SLO shed target for the per-window p99 of
-  /// stream.admit_latency_seconds, in seconds. 0 disables SLO shedding;
-  /// enabling it voids the bit-identity guarantee. Inert while
-  /// observability is disabled (the sensor histogram records nothing).
-  double slo_p99_seconds = 0.0;
-  /// Consecutive compliant windows required to leave shed mode.
-  std::size_t slo_recover_windows = 2;
   /// Run the serial commit on its own thread (the epoch pipeline). False
   /// commits inline on the pipeline thread — same bytes, no overlap.
   bool pipelined_commit = true;
@@ -278,16 +238,15 @@ class StreamingService {
   /// Idempotent; called by the destructor.
   void stop();
 
-  /// Enqueues an admission candidate. Any thread; lock-free unless a
-  /// shed check refuses it first.
+  /// Enqueues an admission candidate. Any thread; lock-free. Refused only
+  /// when the service is stopped or failed (as are the two below).
   SubmitStatus submit_arrival(mec::SfcRequest request, double time,
                               std::uint64_t ticket = 0);
-  /// Enqueues a departure. Never shed (capacity release must not be
-  /// lost); refused only when the service is stopped or failed.
+  /// Enqueues a departure.
   SubmitStatus submit_departure(ServiceId service, double time);
-  /// Enqueues a teardown + re-admission of the service's request. Never
-  /// shed; the re-admission competes in its window's admit_batch like an
-  /// arrival and reports through on_decided with readmit=true.
+  /// Enqueues a teardown + re-admission of the service's request. The
+  /// re-admission competes in its window's admit_batch like an arrival
+  /// and reports through on_decided with readmit=true.
   SubmitStatus submit_readmit(ServiceId service, double time,
                               std::uint64_t ticket = 0);
 
@@ -297,18 +256,13 @@ class StreamingService {
   /// wait on the flush counter and must never deadlock).
   void flush(double time);
 
-  /// Flush punctuations processed so far (monotone).
-  [[nodiscard]] std::uint64_t flushes_processed() const;
-  /// Blocks until flushes_processed() >= n. The guarantee on return is
-  /// that every event submitted BEFORE the n-th flush() has been through
-  /// its window's ADMISSION stage (on_decided fired); its commit may
-  /// still be in flight on the commit thread — that lag is the pipeline.
+  /// Blocks until n flush punctuations were processed. The guarantee on
+  /// return is that every event submitted BEFORE the n-th flush() has
+  /// been through its window's ADMISSION stage (on_decided fired); its
+  /// commit may still be in flight on the commit thread — that lag is the
+  /// pipeline.
   void wait_flushes_processed(std::uint64_t n);
 
-  /// True between start() and stop().
-  [[nodiscard]] bool running() const noexcept {
-    return started_.load(std::memory_order_acquire);
-  }
   /// True after a commit failure (wedged journal, write error); the
   /// stream stops admitting but flush/stop still work. See error().
   [[nodiscard]] bool failed() const noexcept {
@@ -320,14 +274,6 @@ class StreamingService {
 
   /// Cumulative counters (consistent per field, not across fields).
   [[nodiscard]] StreamStats stats() const;
-  /// Approximate ingress depth (backpressure signal).
-  [[nodiscard]] std::size_t queue_depth() const noexcept {
-    return queue_depth_.load(std::memory_order_relaxed);
-  }
-  /// True while SLO shed mode refuses arrivals.
-  [[nodiscard]] bool shedding() const noexcept {
-    return shed_mode_.load(std::memory_order_relaxed);
-  }
   /// Admission windows run so far, offset by first_admission_window —
   /// pass this as first_admission_window to a successor stream to
   /// continue the per-window RNG sequence.
@@ -342,7 +288,6 @@ class StreamingService {
     std::uint64_t seq = 0;
     double open_time = 0.0;
     double close_time = 0.0;
-    std::size_t candidates = 0;  ///< arrivals + re-admits (size trigger)
     std::vector<StreamEvent> events;  ///< push order == event order
   };
 
@@ -379,10 +324,9 @@ class StreamingService {
   Controller* controller_;  // may be nullptr
   Journal* journal_;        // may be nullptr
 
-  // Cached hot-path instruments (owned by the registry, never null after
-  // construction; recording through them is gated by obs::enabled()).
+  // Cached hot-path instrument (owned by the registry, never null after
+  // construction; recording through it is gated by obs::enabled()).
   obs::Histogram* latency_hist_ = nullptr;
-  obs::Counter* shed_counter_ = nullptr;
 
   util::MpscQueue<StreamEvent> ingress_;
   util::MpscQueue<CommitTicket> commit_queue_;
@@ -392,13 +336,9 @@ class StreamingService {
   std::atomic<bool> started_{false};
   std::atomic<bool> accepting_{false};
   std::atomic<bool> failed_{false};
-  std::atomic<bool> shed_mode_{false};
-  std::atomic<std::size_t> queue_depth_{0};
 
   // Pipeline-thread-only window state.
   std::uint64_t next_window_seq_ = 0;
-  /// SLO bookkeeping (commit thread only).
-  std::size_t compliant_windows_ = 0;
 
   // Cumulative counters (relaxed atomics; see StreamStats).
   std::atomic<std::uint64_t> submitted_{0};
@@ -407,8 +347,6 @@ class StreamingService {
   std::atomic<std::uint64_t> departures_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> shed_queue_{0};
-  std::atomic<std::uint64_t> shed_slo_{0};
   std::atomic<std::uint64_t> unknown_service_{0};
   std::atomic<std::uint64_t> windows_{0};
   std::atomic<std::uint64_t> admission_windows_{0};

@@ -16,7 +16,6 @@
 #include "graph/topology.h"
 #include "mec/network.h"
 #include "mec/shard_map.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 namespace mecra::graph {
@@ -78,27 +77,8 @@ TEST(CsrGraph, MirrorsAdjacencyListsExactly) {
       ASSERT_EQ(csr.degree(v), g.degree(v));
       ASSERT_TRUE(std::equal(want_n.begin(), want_n.end(), got_n.begin(),
                              got_n.end()));
-      const auto want_w = g.neighbor_weights(v);
-      const auto got_w = csr.neighbor_weights(v);
-      ASSERT_TRUE(std::equal(want_w.begin(), want_w.end(), got_w.begin(),
-                             got_w.end()));
     }
   }
-}
-
-TEST(CsrGraph, EdgeLookupsMatchGraph) {
-  util::Rng rng(7);
-  const Graph g = erdos_renyi(50, 0.1, rng);
-  const CsrGraph csr = CsrGraph::build(g);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      ASSERT_EQ(csr.has_edge(u, v), g.has_edge(u, v));
-      if (g.has_edge(u, v)) {
-        ASSERT_EQ(csr.edge_weight(u, v), g.edge_weight(u, v));
-      }
-    }
-  }
-  EXPECT_THROW((void)csr.edge_weight(0, 0), util::CheckFailure);
 }
 
 TEST(CsrGraph, AlgorithmOverloadsMatchLegacy) {

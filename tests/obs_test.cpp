@@ -223,54 +223,6 @@ TEST_F(ObsTest, RegistryResetBetweenEpochsKeepsRegistrations) {
   EXPECT_EQ(reg.counter("epoch.count").value(), 3u);
 }
 
-TEST_F(ObsTest, DeltaSnapshotWindowsCountersAndHistograms) {
-  MetricsRegistry reg;
-  reg.counter("win.count").add(5);
-  reg.gauge("win.gauge").set(1.5);
-  Histogram& h = reg.histogram("win.hist", {1.0, 2.0});
-  h.observe(0.5);
-  h.observe(1.5);
-
-  // First delta reports since construction.
-  MetricsSnapshot first = reg.delta_snapshot();
-  ASSERT_EQ(first.counters.size(), 1u);
-  EXPECT_EQ(first.counters[0].value, 5u);
-  ASSERT_EQ(first.histograms.size(), 1u);
-  EXPECT_EQ(first.histograms[0].data.count, 2u);
-  EXPECT_DOUBLE_EQ(first.histograms[0].data.sum, 2.0);
-
-  // Second window sees only what happened after the first scrape; gauges
-  // stay instantaneous and min/max stay lifetime extremes.
-  reg.counter("win.count").add(2);
-  reg.gauge("win.gauge").set(9.0);
-  h.observe(10.0);
-  MetricsSnapshot second = reg.delta_snapshot();
-  EXPECT_EQ(second.counters[0].value, 2u);
-  EXPECT_DOUBLE_EQ(second.gauges[0].value, 9.0);
-  EXPECT_EQ(second.histograms[0].data.count, 1u);
-  EXPECT_DOUBLE_EQ(second.histograms[0].data.sum, 10.0);
-  EXPECT_DOUBLE_EQ(second.histograms[0].data.min, 0.5);
-  EXPECT_DOUBLE_EQ(second.histograms[0].data.max, 10.0);
-  // Overflow bucket carries the delta of the 10.0 observation.
-  EXPECT_EQ(second.histograms[0].data.counts.back(), 1u);
-
-  // An idle window reports zero deltas.
-  MetricsSnapshot idle = reg.delta_snapshot();
-  EXPECT_EQ(idle.counters[0].value, 0u);
-  EXPECT_EQ(idle.histograms[0].data.count, 0u);
-  EXPECT_DOUBLE_EQ(idle.histograms[0].data.sum, 0.0);
-
-  // cumulative snapshot() never disturbs the delta baseline...
-  reg.counter("win.count").add(4);
-  (void)reg.snapshot();
-  EXPECT_EQ(reg.delta_snapshot().counters[0].value, 4u);
-
-  // ...and a reset() between windows clamps at zero instead of wrapping.
-  reg.counter("win.count").add(1);
-  reg.reset();
-  EXPECT_EQ(reg.delta_snapshot().counters[0].value, 0u);
-}
-
 // ---------------------------------------------- collapsed-stack exporter
 
 TEST_F(ObsTest, CollapsedExportFoldsStacksAndSubtractsChildTime) {
