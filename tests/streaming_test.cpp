@@ -4,7 +4,8 @@
 //   * the determinism contract — bit-identical results AND journal bytes
 //     across shard thread counts and pipelined/inline commit;
 //   * window triggers — time, flush, drain, a flushed cell reopening in
-//     a fresh window, and that empty grid cells produce no windows;
+//     a fresh window, and that neither empty grid cells nor an early
+//     close racing the time trigger produce empty windows;
 //   * lifecycle events — departures/re-admits applied before admission,
 //     unknown targets counted rather than crashing;
 //   * no shedding — every event submitted while the pipeline is parked
@@ -212,6 +213,64 @@ TEST(Streaming, WindowTriggersTimeFlushAndEmptyCells) {
   EXPECT_EQ(stats.windows, 4u);
   EXPECT_EQ(stats.arrivals, 5u);
   EXPECT_EQ(stats.admitted + stats.rejected, 5u);
+}
+
+TEST(Streaming, SizeTriggerRacesTimeTriggerWithoutEmptyWindows) {
+  const auto network = small_network(2);
+  const auto catalog = small_catalog(2);
+  Orchestrator orch(network, catalog, {});
+  util::Rng rng(6);
+  ReportSink sink;
+  StreamingOptions opt;
+  opt.window_width = 1.0;
+  opt.on_commit = sink.callback();
+  StreamingService service(orch, std::move(opt));
+  service.start();
+  auto arrival = [&](double t, std::uint64_t ticket) {
+    auto req = mec::random_request(ticket, catalog, network.num_nodes(), {},
+                                   rng);
+    EXPECT_EQ(service.submit_arrival(std::move(req), t, ticket),
+              SubmitStatus::kAccepted);
+  };
+  // The early close that races the time trigger is a mid-cell flush.
+  // Two arrivals, then a flush, close cell 0 before its grid boundary ...
+  arrival(0.1, 0);
+  arrival(0.2, 1);
+  service.flush(0.25);
+  // ... a second flush finds no open window and emits none ...
+  service.flush(0.28);
+  // ... a third arrival in the SAME cell opens a second window for it ...
+  arrival(0.3, 2);
+  // ... and an event beyond the cell closes that one by time.
+  arrival(1.4, 3);
+  // Cell 1 closes early too; the next arrival crosses its boundary with
+  // no window open, so no empty time-triggered window appears for it.
+  service.flush(1.5);
+  arrival(2.6, 4);
+  service.stop();
+
+  const auto reports = sink.take();
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports[0].trigger, WindowTrigger::kFlush);
+  EXPECT_EQ(reports[0].arrivals, 2u);
+  EXPECT_EQ(reports[0].close_time, 1.0);
+  EXPECT_EQ(reports[1].trigger, WindowTrigger::kTime);
+  EXPECT_EQ(reports[1].arrivals, 1u);
+  EXPECT_EQ(reports[1].close_time, 1.0);  // same grid cell, new window
+  EXPECT_EQ(reports[2].trigger, WindowTrigger::kFlush);
+  EXPECT_EQ(reports[2].arrivals, 1u);
+  EXPECT_EQ(reports[2].close_time, 2.0);
+  EXPECT_EQ(reports[3].trigger, WindowTrigger::kDrain);
+  EXPECT_EQ(reports[3].arrivals, 1u);
+  EXPECT_EQ(reports[3].open_time, 2.0);
+  // Window sequence numbers are dense even when one cell closes twice.
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].seq, i);
+  }
+  const StreamStats stats = service.stats();
+  EXPECT_EQ(stats.windows, 4u);
+  EXPECT_EQ(stats.flushes, 3u);
+  EXPECT_EQ(stats.arrivals, 5u);
 }
 
 TEST(Streaming, UnknownLifecycleTargetsAreCountedNotFatal) {
