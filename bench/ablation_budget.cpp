@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"trials", "seed", "threads"});
 
   bench::FigureConfig config;
   config.title = "Ablation: reliability-target stop vs literal Eq.(3) "

@@ -37,7 +37,7 @@ struct Variant {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"trials", "seed", "time-limit"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20200817));
   const auto trials = static_cast<std::size_t>(
       args.get_int("trials", static_cast<std::int64_t>(

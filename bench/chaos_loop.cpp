@@ -104,7 +104,8 @@ int run_crash_restart_drill(std::uint64_t seed, double horizon) {
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"seed", "horizon", "deadline", "report", "crash-restart"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20200817));
   const double horizon = args.get_double("horizon", 120.0);
   const double deadline = args.get_double("deadline", 0.05);

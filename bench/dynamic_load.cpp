@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "horizon"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20200817));
   const double horizon = args.get_double("horizon", 150.0);
 

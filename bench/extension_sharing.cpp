@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20200817));
 
   std::cout << "=== Shared vs dedicated backups (extension; cf. [18]) ===\n"

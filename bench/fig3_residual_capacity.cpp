@@ -5,7 +5,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, bench::kFigureKeys);
 
   bench::FigureConfig config;
   config.title =

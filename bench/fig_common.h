@@ -19,6 +19,10 @@
 
 namespace mecra::bench {
 
+/// The options run_figure reads, for the figure drivers' CliArgs.
+inline const std::vector<std::string> kFigureKeys = {
+    "trials", "seed", "threads", "ilp-time-limit", "trim", "csv"};
+
 struct FigureSweepPoint {
   std::string label;
   sim::ScenarioParams params;

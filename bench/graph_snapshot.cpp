@@ -211,7 +211,9 @@ int check_against(const io::Json& fresh, const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"quick", "queries", "out", "check-against",
+                   "regression-factor"});
   const bool quick = args.get_bool("quick", false);
   const std::size_t queries = static_cast<std::size_t>(
       args.get_int("queries", quick ? 48 : 256));

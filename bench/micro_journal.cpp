@@ -83,7 +83,7 @@ Rates run_case(const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"records", "pad", "keep"});
   const auto records =
       static_cast<std::size_t>(args.get_int("records", 200000));
   const auto pad = static_cast<std::size_t>(args.get_int("pad", 1024));

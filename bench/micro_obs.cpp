@@ -54,7 +54,7 @@ double best_ns_per_op(int reps, std::size_t iters, const F& op) {
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"iters", "reps", "tolerance-ns"});
   const auto iters =
       static_cast<std::size_t>(args.get_int("iters", 20'000'000));
   const int reps = static_cast<int>(args.get_int("reps", 5));

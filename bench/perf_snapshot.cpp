@@ -2,11 +2,12 @@
 //
 // Runs the exact ILP pipeline (aggregated BMCGAP model + branch-and-bound)
 // over fixed-seed instances at several chain lengths, once with the solver
-// fast path disabled ("baseline": cold node LPs + full-scan Dantzig
-// pricing, i.e. the pre-fast-path solver) and once with it enabled
-// ("fastpath": warm-started re-solves + partial pricing + delta nodes),
-// and writes BENCH_solver.json with median/p90 wall times, simplex
-// iterations, node counts, and warm-start hit rates per instance.
+// fast path's LP levers disabled ("baseline": cold node LPs + full-scan
+// Dantzig pricing) and once with them enabled ("fastpath": warm-started
+// re-solves + partial pricing), and writes BENCH_solver.json with
+// median/p90 wall times, simplex iterations, node counts, and warm-start
+// hit rates per instance. Both configurations branch the same way
+// (reliability branching, delta nodes); that part has no switch.
 //
 // Flags:
 //   --out <path>            output path (default BENCH_solver.json)
@@ -161,7 +162,9 @@ int check_against(const io::Json& fresh, const std::string& path,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"quick", "reps", "out", "check-against",
+                   "regression-factor"});
   const bool quick = args.get_bool("quick", false);
   const std::size_t reps = static_cast<std::size_t>(
       args.get_int("reps", quick ? 15 : 40));
@@ -172,8 +175,8 @@ int main(int argc, char** argv) {
   root.set("schema", "mecra-perf-snapshot-v1");
   root.set("description",
            "Exact-ILP solver snapshot: baseline = cold node LPs + full "
-           "Dantzig pricing (pre-fast-path); fastpath = warm-started "
-           "re-solves + partial pricing + delta nodes.");
+           "Dantzig pricing; fastpath = warm-started re-solves + partial "
+           "pricing. Both use reliability branching and delta nodes.");
   root.set("reps", reps);
   {
     io::JsonObject pre;

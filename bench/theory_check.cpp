@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "instances", "draws"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20200817));
   const auto instances = static_cast<std::size_t>(
       args.get_int("instances", static_cast<std::int64_t>(

@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "epochs"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20200817));
   const auto epochs =
       static_cast<std::size_t>(args.get_int("epochs", 40000));

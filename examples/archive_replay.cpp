@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"path", "seed", "keep"});
   const std::string path = args.get("path", "/tmp/mecra_archive.json");
 
   // --- run ---

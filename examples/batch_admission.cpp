@@ -35,7 +35,7 @@ struct Track {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "requests"});
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 5)));
   const auto num_requests =
       static_cast<std::size_t>(args.get_int("requests", 25));

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"trials", "rho", "seed"});
   const auto trials = static_cast<std::size_t>(args.get_int("trials", 25));
   const double rho = args.get_double("rho", 0.99);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 11));

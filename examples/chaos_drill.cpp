@@ -29,7 +29,7 @@ const char* policy_name(mecra::orchestrator::ReaugmentPolicy p) {
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "horizon"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 404));
   const double horizon = args.get_double("horizon", 100.0);
 

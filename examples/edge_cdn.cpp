@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "residual", "rho", "l"});
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 2020)));
 
   // --- metro topology: 4 transit PoPs, 3 stubs each, 8 APs per stub ---

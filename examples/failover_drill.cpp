@@ -29,7 +29,7 @@ const char* state_name(mecra::orchestrator::ServiceState s) {
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "services"});
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 404)));
   const auto num_services =
       static_cast<std::size_t>(args.get_int("services", 8));

@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(
+      argc, argv, {"residual", "rho", "l", "sfc-length", "seed"});
 
   sim::ScenarioParams params;
   params.residual_fraction = args.get_double("residual", 0.25);

@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "outage", "epochs"});
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 33));
   const double outage = args.get_double("outage", 0.03);
   const auto epochs = static_cast<std::size_t>(args.get_int("epochs", 50000));

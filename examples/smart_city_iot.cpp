@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace mecra;
-  const util::CliArgs args(argc, argv);
+  const util::CliArgs args(argc, argv, {"seed", "requests", "rho"});
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 77)));
   const auto num_requests =
       static_cast<std::size_t>(args.get_int("requests", 40));

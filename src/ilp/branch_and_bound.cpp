@@ -1,6 +1,7 @@
 #include "ilp/branch_and_bound.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -29,8 +30,14 @@ struct BoundDelta {
 /// Queue entry: O(1) words plus a shared parent-basis handle — no per-node
 /// bound vectors (IlpSolution::full_bound_copies counts any regression).
 struct Node {
-  /// Parent LP bound in MINIMIZATION terms (lower is more promising).
+  /// Bound in MINIMIZATION terms (lower is more promising): the parent's LP
+  /// value, or this node's own LP value when strong branching solved it.
   double bound;
+  /// Distance the branch moved the variable (x - floor(x) down, ceil(x) - x
+  /// up). Solving the node then teaches the pseudocosts (bound - parent LP)
+  /// / distance; 0 when there is nothing to learn (root, or strong
+  /// branching already learned it).
+  double distance;
   std::uint32_t depth;
   std::int32_t delta;  // arena index of this node's last BoundDelta; -1 root
   std::shared_ptr<const lp::Basis> basis;  // parent's optimal basis
@@ -44,6 +51,54 @@ struct NodeOrder {
     return a.depth < b.depth;
   }
 };
+
+// Reliability branching (Achterberg, Koch & Martin, "Branching rules
+// revisited", 2005): candidates are scored by the product of their
+// estimated objective losses down and up; a variable's estimate is its
+// pseudocost (loss per unit, averaged over the children observed) once it
+// is reliable, and a strong-branching LP pair otherwise.
+
+/// Strong branching starts once a tree has explored this many nodes, so
+/// trees that stay small pay nothing for it.
+constexpr std::size_t kStrongBranchAfterNodes = 16;
+/// Observations per direction after which a pseudocost is reliable.
+constexpr std::uint32_t kReliableObservations = 2;
+/// Strong-branched candidates per node, at most...
+constexpr std::size_t kMaxStrongCandidates = 8;
+/// ...and strong branching stops after this many in a row that did not
+/// raise the best score.
+constexpr std::size_t kStrongLookahead = 4;
+/// Losses are clamped to this before their product is taken, so a zero
+/// loss on one side still ranks candidates by the other side.
+constexpr double kMinLoss = 1e-6;
+
+enum Direction : std::size_t { kDown = 0, kUp = 1 };
+
+struct Pseudocost {
+  std::array<double, 2> sum{};
+  std::array<std::uint32_t, 2> count{};
+
+  void observe(Direction dir, double loss_per_unit) {
+    sum[dir] += loss_per_unit;
+    ++count[dir];
+  }
+  [[nodiscard]] double mean(Direction dir, double unobserved) const {
+    return count[dir] == 0 ? unobserved : sum[dir] / count[dir];
+  }
+  [[nodiscard]] bool reliable() const {
+    return std::min(count[kDown], count[kUp]) >= kReliableObservations;
+  }
+};
+
+struct Candidate {
+  lp::VarId var;
+  std::array<double, 2> distance;  // x - floor(x), ceil(x) - x
+  double score;
+};
+
+double branching_score(double down_loss, double up_loss) {
+  return std::max(down_loss, kMinLoss) * std::max(up_loss, kMinLoss);
+}
 
 }  // namespace
 
@@ -95,15 +150,19 @@ IlpSolution BranchAndBoundSolver::solve(
       static obs::Counter& nodes = reg.counter("ilp.nodes");
       static obs::Counter& warm_attempts = reg.counter("ilp.warm_attempts");
       static obs::Counter& warm_hits = reg.counter("ilp.warm_hits");
+      static obs::Counter& strong_lps = reg.counter("ilp.strong_branch_lps");
       static obs::Histogram& seconds = reg.histogram("ilp.solve_seconds");
       solves.add(1);
       nodes.add(out.nodes_explored);
       warm_attempts.add(out.warm_attempts);
       warm_hits.add(out.warm_hits);
+      strong_lps.add(out.strong_branch_lps);
       seconds.observe(timer.elapsed_seconds());
       span.attr("nodes", static_cast<double>(out.nodes_explored));
       span.attr("lp_iterations", static_cast<double>(out.lp_iterations));
       span.attr("warm_hits", static_cast<double>(out.warm_hits));
+      span.attr("strong_branch_lps",
+                static_cast<double>(out.strong_branch_lps));
     }
   } solve_obs{out, timer};
 
@@ -176,6 +235,19 @@ IlpSolution BranchAndBoundSolver::solve(
     return bound >= incumbent - rel;
   };
 
+  // Integer-feasible point `x` (integer variables within the tolerance of
+  // an integer): snapped, it replaces the incumbent when it is better.
+  auto offer_incumbent = [&](std::vector<double> x) {
+    for (lp::VarId v = 0; v < n; ++v) {
+      if (is_integer[v]) x[v] = std::round(x[v]);
+    }
+    const double obj = sense * model.objective_value(x);
+    if (obj < incumbent) {
+      incumbent = obj;
+      incumbent_x = std::move(x);
+    }
+  };
+
   // Dive-and-fix: round every integer variable of `relaxed` to the nearest
   // integer inside the node bounds, pin it, and re-solve the LP for the
   // continuous remainder. Any optimal re-solve is an integer-feasible
@@ -205,14 +277,7 @@ IlpSolution BranchAndBoundSolver::solve(
                                      : lp_solver.solve(work);
       out.lp_iterations += fixed.iterations;
       if (!fixed.optimal()) continue;
-      const double obj = sense * model.objective_value(fixed.x);
-      if (obj < incumbent) {
-        incumbent = obj;
-        incumbent_x = fixed.x;
-        for (lp::VarId v = 0; v < n; ++v) {
-          if (is_integer[v]) incumbent_x[v] = std::round(incumbent_x[v]);
-        }
-      }
+      offer_incumbent(fixed.x);
       break;  // nearest-rounding worked; no need for the floor pass
     }
     for (lp::VarId v = 0; v < n; ++v) {
@@ -220,8 +285,45 @@ IlpSolution BranchAndBoundSolver::solve(
     }
   };
 
+  // Pseudocosts, allocated at the first branch: a solve that never
+  // branches pays nothing for them. `all_observed` pools every observation
+  // and stands in for the directions a variable has not been seen in (1.0
+  // before any observation, which ranks like most-fractional).
+  std::vector<Pseudocost> pseudocosts;
+  Pseudocost all_observed;
+  auto observe = [&](lp::VarId v, Direction dir, double loss_per_unit) {
+    pseudocosts[v].observe(dir, loss_per_unit);
+    all_observed.observe(dir, loss_per_unit);
+  };
+  auto estimate = [&](lp::VarId v, Direction dir) {
+    return pseudocosts[v].mean(dir, all_observed.mean(dir, 1.0));
+  };
+  std::vector<Candidate> candidates;
+
+  // Strong branching: solve the child LP of the current node with
+  // x_v <= fl (down) or x_v >= fl + 1 (up) from the node's basis, then
+  // restore the node box. Returns the child's LP value in minimization
+  // terms: +inf when infeasible, NaN when undecided (iteration limit).
+  auto strong_child = [&](lp::VarId v, Direction dir, double fl,
+                          const lp::Basis* node_basis) {
+    if (dir == kDown) {
+      work.set_bounds(v, cur_lo[v], fl);
+    } else {
+      work.set_bounds(v, fl + 1.0, cur_hi[v]);
+    }
+    const lp::Solution child = node_basis != nullptr
+                                   ? lp_solver.resolve(work, *node_basis)
+                                   : lp_solver.solve(work);
+    work.set_bounds(v, cur_lo[v], cur_hi[v]);
+    ++out.strong_branch_lps;
+    out.lp_iterations += child.iterations;
+    if (child.status == lp::SolveStatus::kInfeasible) return kInf;
+    if (!child.optimal()) return std::numeric_limits<double>::quiet_NaN();
+    return sense * child.objective;
+  };
+
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
-  open.push(Node{-kInf, 0, -1, nullptr});
+  open.push(Node{-kInf, 0.0, 0, -1, nullptr});
 
   bool hit_limit = false;
   bool root_unbounded = false;
@@ -264,33 +366,23 @@ IlpSolution BranchAndBoundSolver::solve(
       continue;
     }
     const double bound = sense * rel.objective;
+    if (node.distance > 0.0) {
+      const BoundDelta& d = arena[static_cast<std::size_t>(node.delta)];
+      observe(d.var, d.is_upper ? kDown : kUp,
+              std::max(0.0, bound - node.bound) / node.distance);
+    }
     if (incumbent < kInf && dominated(bound)) continue;
 
-    // Find the most fractional integer variable.
-    lp::VarId branch_var = static_cast<lp::VarId>(n);
-    double best_frac_score = options_.integrality_tol;
+    candidates.clear();
     for (lp::VarId v = 0; v < n; ++v) {
       if (!is_integer[v]) continue;
-      const double x = rel.x[v];
-      const double frac = x - std::floor(x);
-      const double score = std::min(frac, 1.0 - frac);
-      if (score > best_frac_score) {
-        best_frac_score = score;
-        branch_var = v;
-      }
+      const double down = rel.x[v] - std::floor(rel.x[v]);
+      if (std::min(down, 1.0 - down) <= options_.integrality_tol) continue;
+      candidates.push_back(Candidate{v, {down, 1.0 - down}, 0.0});
     }
 
-    if (branch_var == n) {
-      // Integral: snap and accept as incumbent.
-      std::vector<double> x = rel.x;
-      for (lp::VarId v = 0; v < n; ++v) {
-        if (is_integer[v]) x[v] = std::round(x[v]);
-      }
-      const double obj = sense * model.objective_value(x);
-      if (obj < incumbent) {
-        incumbent = obj;
-        incumbent_x = std::move(x);
-      }
+    if (candidates.empty()) {
+      offer_incumbent(std::move(rel.x));  // integral
       continue;
     }
 
@@ -304,27 +396,95 @@ IlpSolution BranchAndBoundSolver::solve(
       if (dominated(bound)) continue;  // the heuristic closed this node
     }
 
+    // Choose the branching variable. Candidates are scored from the
+    // pseudocosts; once the tree is past kStrongBranchAfterNodes, the
+    // best-scored unreliable ones are strong-branched instead (up to
+    // kMaxStrongCandidates, stopping after kStrongLookahead that do not
+    // raise the best score). A candidate with a child that strong
+    // branching proves infeasible or dominated is taken at once. Ties go
+    // to the lower variable index.
+    if (pseudocosts.empty()) pseudocosts.resize(n);
+    for (Candidate& c : candidates) {
+      c.score = branching_score(c.distance[kDown] * estimate(c.var, kDown),
+                                c.distance[kUp] * estimate(c.var, kUp));
+    }
+    const bool strong = out.nodes_explored > kStrongBranchAfterNodes;
+    if (strong) {
+      std::sort(candidates.begin(), candidates.end(),
+                [](const Candidate& a, const Candidate& b) {
+                  return a.score != b.score ? a.score > b.score
+                                            : a.var < b.var;
+                });
+    }
+    const lp::Basis* node_basis =
+        options_.warm_lp && rel.has_basis ? &rel.basis : nullptr;
+    const Candidate* chosen = nullptr;
+    double chosen_score = -1.0;
+    // Children's LP values from strong branching; NaN = not solved.
+    std::array<double, 2> chosen_lp{};
+    std::size_t strong_done = 0;
+    std::size_t since_raised = 0;
+    for (const Candidate& c : candidates) {
+      double score = c.score;
+      std::array<double, 2> child_lp = {
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::quiet_NaN()};
+      const bool probe = strong && strong_done < kMaxStrongCandidates &&
+                         since_raised < kStrongLookahead &&
+                         !pseudocosts[c.var].reliable();
+      if (probe) {
+        ++strong_done;
+        const double fl = std::floor(rel.x[c.var]);
+        for (const Direction dir : {kDown, kUp}) {
+          child_lp[dir] = strong_child(c.var, dir, fl, node_basis);
+          if (std::isfinite(child_lp[dir])) {
+            observe(c.var, dir,
+                    std::max(0.0, child_lp[dir] - bound) / c.distance[dir]);
+          }
+        }
+        if (dominated(child_lp[kDown]) || dominated(child_lp[kUp])) {
+          chosen = &c;
+          chosen_lp = child_lp;
+          break;
+        }
+        if (!std::isnan(child_lp[kDown]) && !std::isnan(child_lp[kUp])) {
+          score = branching_score(child_lp[kDown] - bound,
+                                  child_lp[kUp] - bound);
+        }
+      }
+      if (score > chosen_score) {
+        chosen = &c;
+        chosen_score = score;
+        chosen_lp = child_lp;
+        since_raised = 0;
+      } else if (probe) {
+        ++since_raised;
+      }
+    }
+
     // Branch: both children inherit this node's optimal basis for their
-    // warm re-solve and record a one-bound delta in the arena.
+    // warm re-solve and record a one-bound delta in the arena. A child
+    // that strong branching solved is queued at its own LP value, and not
+    // at all when that value is infeasible or dominated.
     std::shared_ptr<const lp::Basis> child_basis;
-    if (options_.warm_lp && rel.has_basis) {
+    if (node_basis != nullptr) {
       child_basis = std::make_shared<lp::Basis>(std::move(rel.basis));
     }
-    const double xv = rel.x[branch_var];
-    const double fl = std::floor(xv);
+    const lp::VarId branch_var = chosen->var;
+    const double fl = std::floor(rel.x[branch_var]);
     const std::uint32_t child_depth = node.depth + 1;
-    if (cur_lo[branch_var] <= fl) {  // down child: x <= floor(xv)
-      arena.push_back(BoundDelta{node.delta, branch_var, fl, true});
-      open.push(Node{bound, child_depth,
+    auto push_child = [&](Direction dir, double value) {
+      if (dominated(chosen_lp[dir])) return;
+      const bool solved = !std::isnan(chosen_lp[dir]);
+      arena.push_back(BoundDelta{node.delta, branch_var, value, dir == kDown});
+      open.push(Node{solved ? std::max(bound, chosen_lp[dir]) : bound,
+                     solved ? 0.0 : chosen->distance[dir], child_depth,
                      static_cast<std::int32_t>(arena.size() - 1),
                      child_basis});
-    }
-    if (cur_hi[branch_var] == lp::kInfinity ||
-        fl + 1.0 <= cur_hi[branch_var]) {  // up child: x >= floor(xv) + 1
-      arena.push_back(BoundDelta{node.delta, branch_var, fl + 1.0, false});
-      open.push(Node{bound, child_depth,
-                     static_cast<std::int32_t>(arena.size() - 1),
-                     std::move(child_basis)});
+    };
+    if (cur_lo[branch_var] <= fl) push_child(kDown, fl);  // x <= floor(xv)
+    if (cur_hi[branch_var] == lp::kInfinity || fl + 1.0 <= cur_hi[branch_var]) {
+      push_child(kUp, fl + 1.0);  // x >= floor(xv) + 1
     }
   }
 

@@ -1,10 +1,17 @@
 // Branch-and-bound (mixed-)integer linear programming over the in-repo
 // simplex. This is the engine behind the paper's exact "ILP" algorithm
-// (Section 4): LP-relaxation bounding, most-fractional branching, and a
-// best-bound node queue with depth tie-breaking so dives find incumbents
-// early.
+// (Section 4): LP-relaxation bounding, reliability branching, and a
+// best-bound node queue that pops deeper nodes first on ties.
 //
 // Solver fast path (DESIGN.md "Solver fast path"):
+//   * reliability branching (Achterberg, Koch & Martin 2005): candidates
+//     are ranked by the product of their estimated objective losses down
+//     and up. The estimates are per-solve pseudocosts learned from every
+//     solved child; once a tree passes 16 nodes, candidates whose
+//     pseudocosts are not yet reliable are strong-branched (both child LPs
+//     re-solved from the node's basis), and children are queued at those
+//     LP values, or not at all when strong branching proves them
+//     infeasible or dominated. Trees that stay small pay nothing for it;
 //   * node LPs are warm-started from the parent node's optimal basis via
 //     SimplexSolver::resolve() — a child differs from its parent by one
 //     variable bound, so the re-solve is typically a handful of dual
@@ -52,6 +59,9 @@ struct IlpSolution {
   std::size_t warm_attempts = 0;
   /// Warm attempts that succeeded without a cold two-phase fallback.
   std::size_t warm_hits = 0;
+  /// Child LPs solved by strong branching (their pivots count in
+  /// lp_iterations, not in warm_attempts).
+  std::size_t strong_branch_lps = 0;
   /// Full per-node bound-vector copies made on the hot path. The delta-node
   /// representation keeps this at 0 (asserted in tests); any future code
   /// that reintroduces per-node vector copies must bump it.

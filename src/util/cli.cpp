@@ -1,13 +1,29 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 #include <stdexcept>
 
 #include "util/check.h"
 
 namespace mecra::util {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
+namespace {
+
+void print_keys(std::ostream& os, const std::string& program,
+                const std::vector<std::string>& keys) {
+  os << "usage: " << program << " [--key=value | --key value | --flag]...\n"
+     << "options:";
+  for (const std::string& key : keys) os << " --" << key;
+  os << "\n";
+}
+
+}  // namespace
+
+CliArgs::CliArgs(int argc, const char* const* argv,
+                 std::vector<std::string> keys)
+    : keys_(std::move(keys)) {
   MECRA_CHECK(argc >= 1);
   program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
@@ -26,14 +42,30 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       options_[body] = "true";  // bare flag
     }
   }
+  if (options_.count("help") != 0) {
+    print_keys(std::cout, program_, keys_);
+    std::exit(0);
+  }
+  for (const auto& [key, value] : options_) {
+    if (accepts(key)) continue;
+    std::cerr << program_ << ": unknown option --" << key << "\n";
+    print_keys(std::cerr, program_, keys_);
+    std::exit(2);
+  }
+}
+
+bool CliArgs::accepts(const std::string& key) const {
+  return std::find(keys_.begin(), keys_.end(), key) != keys_.end();
 }
 
 bool CliArgs::has(const std::string& key) const {
+  MECRA_CHECK_MSG(accepts(key), "option --" + key + " is read but not declared");
   return options_.count(key) != 0;
 }
 
 std::optional<std::string> CliArgs::raw(const std::string& key,
                                         const std::string& env) const {
+  MECRA_CHECK_MSG(accepts(key), "option --" + key + " is read but not declared");
   if (auto it = options_.find(key); it != options_.end()) return it->second;
   if (!env.empty()) {
     if (const char* v = std::getenv(env.c_str()); v != nullptr) {

@@ -1,7 +1,9 @@
 // Minimal command-line/environment option parsing for the examples and
-// figure benches: `--key=value` / `--key value` / `--flag`, with environment
+// benches: `--key=value` / `--key value` / `--flag`, with environment
 // variable fallbacks so `for b in build/bench/*; do $b; done` can be steered
-// globally (e.g. MECRA_TRIALS=100).
+// globally (e.g. MECRA_TRIALS=100). Each driver names the keys it reads: a
+// misspelt flag fails instead of silently running the default
+// configuration, and `--help` lists the keys.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +16,11 @@ namespace mecra::util {
 
 class CliArgs {
  public:
-  CliArgs(int argc, const char* const* argv);
+  /// `keys` are the option names the driver reads (without "--").
+  /// `--help` prints them and exits 0; any other `--key` outside them
+  /// prints them to stderr and exits 2. Reading a key outside them is a
+  /// CheckFailure.
+  CliArgs(int argc, const char* const* argv, std::vector<std::string> keys);
 
   /// The program name (argv[0]).
   [[nodiscard]] const std::string& program() const noexcept { return program_; }
@@ -40,10 +46,12 @@ class CliArgs {
                               const std::string& env = "") const;
 
  private:
+  [[nodiscard]] bool accepts(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> raw(const std::string& key,
                                                const std::string& env) const;
 
   std::string program_;
+  std::vector<std::string> keys_;
   std::map<std::string, std::string> options_;
   std::vector<std::string> positional_;
 };

@@ -22,8 +22,6 @@
 //     poll (pop_wait below) rather than treat one empty read as a fence.
 //     FIFO order per producer is still guaranteed; elements from different
 //     producers interleave in exchange order.
-//   * approx_size() subtracts two relaxed counters and may be stale by
-//     in-flight pushes/pops; it is a backpressure signal, not an invariant.
 //
 // Blocking consumption: pop_wait() parks the consumer on an eventcount-lite
 // (a parked flag + mutex/condvar). The producer-side wakeup check is two
@@ -35,7 +33,7 @@
 // publication only — element publication rides the acquire/release pair on
 // head_/next, which ThreadSanitizer models precisely.
 //
-// Thread safety: push()/approx_size() from any thread; try_pop()/pop_wait()
+// Thread safety: push() from any thread; try_pop()/pop_wait()
 // from ONE consumer thread at a time; construction and destruction require
 // external quiescence (no concurrent producers or consumer).
 //
@@ -100,7 +98,6 @@ class MpscQueue {
     node->value = std::move(value);
     Node* prev = head_.exchange(node, std::memory_order_acq_rel);
     prev->next.store(node, std::memory_order_release);
-    pushed_.fetch_add(1, std::memory_order_relaxed);
     // Pairs with the barrier in pop_wait(): either this load sees parked_
     // set (and notifies), or the consumer's post-park try_pop sees the
     // element. A race can at worst cost one pop_wait timeout.
@@ -121,7 +118,6 @@ class MpscQueue {
     out = std::move(next->value);
     tail_ = next;  // `next` becomes the new stub (value moved out)
     delete tail;
-    popped_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
 
@@ -144,14 +140,6 @@ class MpscQueue {
     }
     parked_.store(false, std::memory_order_relaxed);
     return try_pop(out);
-  }
-
-  /// Elements pushed minus elements popped, both read relaxed — a lag
-  /// indicator for backpressure, transiently off by in-flight operations.
-  [[nodiscard]] std::size_t approx_size() const noexcept {
-    const std::uint64_t pushed = pushed_.load(std::memory_order_relaxed);
-    const std::uint64_t popped = popped_.load(std::memory_order_relaxed);
-    return pushed >= popped ? static_cast<std::size_t>(pushed - popped) : 0;
   }
 
  private:
@@ -179,11 +167,8 @@ class MpscQueue {
   /// Consumer-owned: current stub whose `next` is the front element.
   alignas(64) Node* tail_;
 
-  alignas(64) std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> popped_{0};
-
   /// Consumer-park protocol (see file comment).
-  std::atomic<bool> parked_{false};
+  alignas(64) std::atomic<bool> parked_{false};
 #if MECRA_MPSC_TSAN
   std::atomic<std::uint64_t> park_fence_word_{0};
 #endif

@@ -1,12 +1,15 @@
 // Tests for the branch-and-bound MILP solver: hand-checked integer
 // programs, knapsacks with known optima, mixed-integer cases, warm starts,
 // limits, and a brute-force cross-validation sweep over random 0/1
-// programs (the solver must match exhaustive enumeration exactly).
+// programs (the solver must match exhaustive enumeration exactly), plus
+// reliability branching on trees past its strong-branching gate.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "core/ilp_exact.h"
 #include "ilp/branch_and_bound.h"
+#include "sim/workload.h"
 #include "util/rng.h"
 
 namespace mecra::ilp {
@@ -319,6 +322,111 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(tpi.param.vars) + "_r" +
              std::to_string(tpi.param.rows);
     });
+
+// ---------------------------------------------------- reliability branching
+
+// Random multi-row knapsacks over x in {0..3}^8: their trees run past the
+// strong-branching gate, so children are queued at strong-branching LP
+// values and pruned on them. With both gaps at zero the search must still
+// reach the enumerated optimum exactly, on the warm and on the cold LP
+// path.
+TEST(ReliabilityBranching, MatchesEnumerationPastTheStrongBranchingGate) {
+  constexpr std::size_t kVars = 8;
+  constexpr int kUpper = 3;
+  for (const bool warm_lp : {true, false}) {
+    std::size_t strong_cases = 0;
+    for (std::uint64_t seed = 9100; seed < 9124; ++seed) {
+      util::Rng rng(seed);
+      lp::Model m(lp::Sense::kMaximize);
+      for (std::size_t v = 0; v < kVars; ++v) {
+        (void)m.add_variable(0, kUpper, rng.uniform(1.0, 10.0));
+      }
+      for (int r = 0; r < 3; ++r) {
+        std::vector<lp::Term> terms;
+        double total = 0.0;
+        for (std::size_t v = 0; v < kVars; ++v) {
+          terms.push_back({static_cast<lp::VarId>(v), rng.uniform(1.0, 10.0)});
+          total += terms.back().coeff;
+        }
+        m.add_constraint(std::move(terms), lp::Relation::kLessEqual,
+                         total * rng.uniform(0.5, 1.0));
+      }
+
+      double best = -1.0;
+      std::vector<double> x(kVars);
+      for (std::size_t code = 0; code < 65536; ++code) {  // 4^8 points
+        for (std::size_t v = 0; v < kVars; ++v) {
+          x[v] = static_cast<double>((code >> (2 * v)) & 3u);
+        }
+        if (m.max_violation(x) <= 1e-9) {
+          best = std::max(best, m.objective_value(x));
+        }
+      }
+
+      IlpOptions opt;
+      opt.relative_gap = 0.0;
+      opt.absolute_gap = 1e-9;
+      opt.warm_lp = warm_lp;
+      const auto s = solve_all_integer(m, opt);
+      ASSERT_EQ(s.status, IlpStatus::kOptimal) << "seed " << seed;
+      EXPECT_NEAR(s.objective, best, 1e-6) << "seed " << seed;
+      EXPECT_LE(m.max_violation(s.x), 1e-6) << "seed " << seed;
+      if (!warm_lp) {
+        EXPECT_EQ(s.warm_attempts, 0u) << "seed " << seed;
+      }
+      if (s.strong_branch_lps > 0) ++strong_cases;
+    }
+    EXPECT_GE(strong_cases, 12u) << "warm_lp " << warm_lp;
+  }
+}
+
+// perfbench's paper_solve instance set: Sec. 7.1 defaults with chains of
+// 3-10 functions, instance i drawn from derive_seed(20200817, i).
+core::BmcgapInstance paper_solve_instance(std::size_t i) {
+  sim::ScenarioParams params;
+  params.request.chain_length_high = 10;
+  util::Rng rng(util::derive_seed(20200817, i));
+  std::optional<sim::Scenario> s = sim::make_scenario(params, rng);
+  MECRA_CHECK(s.has_value());
+  return std::move(s->instance);
+}
+
+// The set's two largest trees under most-fractional branching took 52,039
+// (instance 314) and 18,449 (instance 17) nodes. Reliability branching must
+// solve each within 5,000, to an objective within twice the MIP gap of the
+// one most-fractional branching proved.
+TEST(ReliabilityBranching, PaperSolvesLargestTreesStaySmall) {
+  struct Case {
+    std::size_t index;
+    double objective;  // augment_ilp's, under most-fractional branching
+  };
+  for (const Case& c : {Case{314, 1.47391505248}, Case{17, 1.53685749287}}) {
+    const core::BmcgapInstance instance = paper_solve_instance(c.index);
+    core::AugmentOptions opt;
+    opt.trim_to_expectation = false;
+    opt.ilp.time_limit_seconds = 0.0;
+    const core::AugmentationResult r = core::augment_ilp(instance, opt);
+    EXPECT_LE(r.solver_nodes, 5000u) << "instance " << c.index;
+    EXPECT_NEAR(r.objective_gain, c.objective,
+                2.0 * (1e-4 * std::abs(c.objective) + 1e-6))
+        << "instance " << c.index;
+
+    const core::AggregatedModel agg = core::build_aggregated_model(instance);
+    const IlpSolution s = BranchAndBoundSolver().solve(agg.model, agg.is_integer);
+    ASSERT_EQ(s.status, IlpStatus::kOptimal) << "instance " << c.index;
+    EXPECT_GT(s.strong_branch_lps, 0u) << "instance " << c.index;
+  }
+}
+
+// A solve that ends at the root never strong-branches.
+TEST(ReliabilityBranching, RootSolveRunsNoStrongBranching) {
+  const core::BmcgapInstance instance = paper_solve_instance(2);
+  const core::AggregatedModel agg = core::build_aggregated_model(instance);
+  const IlpSolution s = BranchAndBoundSolver().solve(agg.model, agg.is_integer);
+  ASSERT_EQ(s.status, IlpStatus::kOptimal);
+  EXPECT_EQ(s.nodes_explored, 1u);
+  EXPECT_EQ(s.strong_branch_lps, 0u);
+}
 
 }  // namespace
 }  // namespace mecra::ilp

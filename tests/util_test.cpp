@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <iostream>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -279,7 +280,7 @@ TEST(Table, FmtHelpers) {
 
 TEST(Cli, ParsesEqualsAndSpaceForms) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "4", "pos1", "--flag"};
-  CliArgs args(6, argv);
+  CliArgs args(6, argv, {"alpha", "beta", "flag"});
   EXPECT_EQ(args.get_int("alpha", 0), 3);
   EXPECT_EQ(args.get_int("beta", 0), 4);
   EXPECT_TRUE(args.get_bool("flag", false));
@@ -289,7 +290,7 @@ TEST(Cli, ParsesEqualsAndSpaceForms) {
 
 TEST(Cli, FallbacksApply) {
   const char* argv[] = {"prog"};
-  CliArgs args(1, argv);
+  CliArgs args(1, argv, {"missing"});
   EXPECT_EQ(args.get("missing", "def"), "def");
   EXPECT_EQ(args.get_int("missing", 9), 9);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 1.5), 1.5);
@@ -298,17 +299,40 @@ TEST(Cli, FallbacksApply) {
 
 TEST(Cli, RejectsMalformedNumbers) {
   const char* argv[] = {"prog", "--n=abc"};
-  CliArgs args(2, argv);
+  CliArgs args(2, argv, {"n"});
   EXPECT_THROW((void)args.get_int("n", 0), CheckFailure);
   EXPECT_THROW((void)args.get_double("n", 0), CheckFailure);
 }
 
 TEST(Cli, BooleanSpellings) {
   const char* argv[] = {"prog", "--a=yes", "--b=off", "--c=1"};
-  CliArgs args(4, argv);
+  CliArgs args(4, argv, {"a", "b", "c"});
   EXPECT_TRUE(args.get_bool("a", false));
   EXPECT_FALSE(args.get_bool("b", true));
   EXPECT_TRUE(args.get_bool("c", false));
+}
+
+// A key the driver does not read fails the run and names the accepted
+// keys; --help names them and succeeds. A misspelt gate flag
+// (--check-agaisnt) must not fall through to an ungated run.
+TEST(Cli, UnknownKeyFailsAndHelpListsTheKeys) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char* typo[] = {"prog", "--check-agaisnt", "BENCH.json"};
+  EXPECT_EXIT(CliArgs(3, typo, {"quick", "check-against"}),
+              ::testing::ExitedWithCode(2),
+              "unknown option --check-agaisnt(.|\n)*--quick --check-against");
+  const char* help[] = {"prog", "--help"};
+  EXPECT_EXIT(
+      {
+        std::cout.rdbuf(std::cerr.rdbuf());  // the matcher reads stderr
+        CliArgs(2, help, {"quick", "check-against"});
+      },
+      ::testing::ExitedWithCode(0), "options: --quick --check-against");
+  const char* ok[] = {"prog", "--quick"};
+  CliArgs args(2, ok, {"quick", "check-against"});
+  EXPECT_TRUE(args.get_bool("quick", false));
+  EXPECT_FALSE(args.has("check-against"));
+  EXPECT_THROW((void)args.get("out", ""), CheckFailure);  // undeclared read
 }
 
 // ---------------------------------------------------------------- matrix.h
